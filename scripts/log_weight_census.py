@@ -25,7 +25,6 @@ from pathlib import Path
 
 from ramsum.arith import divisors, factorize, moebius
 from ramsum.identities import check_log_weight
-from ramsum.logspace import render
 
 
 def surviving_divisors(k):
@@ -86,7 +85,7 @@ def main(argv=None) -> int:
         print(f"  s-full yet mismatching: {row['s_full_yet_mismatch']}")
         for k in row["s_full_yet_mismatch"][:3]:
             out = check_log_weight(k, int(s))
-            print(f"    defect at k={k}: {render(out.lhs - out.rhs)}")
+            print(f"    defect at k={k}: {out.lhs - out.rhs}")
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -30,7 +30,6 @@ from .csum import (
 )
 from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import (
-    Rational,
     bernoulli_number,
     bernoulli_poly,
     binomial,

@@ -7,7 +7,6 @@ factors each one exactly once and every value stays an exact Python int.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -15,7 +14,6 @@ from math import gcd, isqrt
 import numpy as np
 
 DEFAULT_SIEVE_LIMIT = 1_000_000
-SIEVE_LIMIT_ENV = "RAMSUM_SIEVE_LIMIT"
 
 
 @dataclass(frozen=True)
@@ -45,12 +43,6 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def radical(self) -> int:
-        out = 1
-        for p in self.primes():
-            out *= p
-        return out
-
 
 class PrimeSieve:
     """Smallest-prime-factor table for every n up to ``limit``."""
@@ -66,11 +58,6 @@ class PrimeSieve:
                 unclaimed = spf[idx] == idx
                 spf[idx[unclaimed]] = p
         self._spf = spf
-
-    def smallest_factor(self, n: int) -> int:
-        if not 2 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range [2, {self.limit}]")
-        return int(self._spf[n])
 
     def factorize(self, n: int) -> Factorization:
         if not 1 <= n <= self.limit:
@@ -92,13 +79,12 @@ _sieve_lock = threading.Lock()
 
 
 def default_sieve() -> PrimeSieve:
-    """Shared sieve, built lazily at the env-configurable default limit."""
+    """Shared sieve, built lazily at DEFAULT_SIEVE_LIMIT unless configured."""
     global _default_sieve
     if _default_sieve is None:
         with _sieve_lock:
             if _default_sieve is None:
-                limit = int(os.environ.get(SIEVE_LIMIT_ENV, DEFAULT_SIEVE_LIMIT))
-                _default_sieve = PrimeSieve(max(limit, 2))
+                _default_sieve = PrimeSieve(DEFAULT_SIEVE_LIMIT)
     return _default_sieve
 
 

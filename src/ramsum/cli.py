@@ -27,6 +27,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_at_least(lo: int):
+    """argparse type for an int flag no smaller than lo; argparse names the
+    flag in the usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser, default_cap: int) -> None:
     parser.add_argument("--cap", type=int, default=default_cap, help="largest k^s any evaluation may touch")
     parser.add_argument("--sieve-limit", type=int, default=None, help="rebuild the shared factorization sieve")
@@ -76,16 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("identity", choices=ALL_IDENTITIES + ("all",))
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--s", type=int, default=None, help="fix s (overrides --s-max)")
-    p.add_argument("--s-max", type=int, default=None)
+    p.add_argument("--s", type=_int_at_least(1), default=None, help="fix s (overrides --s-max)")
+    p.add_argument("--s-max", type=_int_at_least(1), default=None)
     p.add_argument("--r-max", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
+    p.add_argument("--m-max", type=_int_at_least(0), default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--ks", type=str, default=None, help="multivariate moduli, e.g. '2,3;4,6'")
     p.add_argument("--weights", type=str, default=None, help="comma list: power:T|power:s|phi|jordan:T|tau|sigma")
     p.add_argument("--tuples", type=int, default=20, help="random tuple count for g-multiplicative")
     p.add_argument("--seed", type=int, default=91)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--format", choices=("json", "csv", "human"), default="human")
     p.add_argument("--tol", type=float, default=None, help="override floating tolerances")
     p.add_argument("--strict-findings", action="store_true", help="treat findings as failures")
@@ -150,7 +166,6 @@ def _cmd_verify(args) -> int:
         cap=args.cap,
         tolerance=args.tol,
         jobs=args.jobs,
-        strict_findings=args.strict_findings,
     )
     report = run_suite(cfg)
     sys.stdout.write(render_report(report, args.format))

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import Factorization, divisors, factorize, gen_gcd, jordan_totient, moebius
+from .arith import divisors, factorize, gen_gcd, jordan_totient, moebius
 from .errors import InternalConsistencyError, ResourceLimitError
 
 DEFAULT_CAP = 1_000_000
@@ -41,12 +41,30 @@ def _check_args(k: int, s: int) -> None:
         raise ValueError(f"s must be positive, got {s}")
 
 
+def _period(k: int, s: int, cap: int, what: str) -> int:
+    """k^s after checking k, s >= 1, or ResourceLimitError past cap.
+
+    k^s >= 2^(s*(bitlen(k)-1)), so a period that far past cap is refused
+    before it is built, and the message never prints k^s: a huge s costs
+    nothing and cannot hit the int-to-str digit limit.
+    """
+    # _check_args inlined: this runs once per csum_direct call
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if s < 1:
+        raise ValueError(f"s must be positive, got {s}")
+    if s * (k.bit_length() - 1) < cap.bit_length():
+        K = k**s
+        if K <= cap:
+            return K
+    raise ResourceLimitError(f"k^s for k={k}, s={s} exceeds cap {cap} for {what}")
+
+
 @lru_cache(maxsize=64)
 def _context(k: int, s: int):
-    """Divisor data for (k, s): factorization, mu and J_s tables, and the
+    """Divisor data for (k, s): the divisors, mu and J_s tables, and the
     cumulative map val[g] = c_k^(s)(j) for gen_gcd(j, k, s) = g."""
-    fac = factorize(k)
-    divs = divisors(fac)
+    divs = divisors(factorize(k))
     mu = {d: moebius(factorize(k // d)) for d in divs}
     js = {d: jordan_totient(s, factorize(d)) for d in divs}
     val = {}
@@ -55,20 +73,20 @@ def _context(k: int, s: int):
         for d in divisors(factorize(g)):
             acc += d**s * mu[d]
         val[g] = acc
-    return fac, divs, mu, js, val
+    return divs, mu, js, val
 
 
 def csum_moebius(k: int, j: int, s: int = 1) -> int:
     """c_k^(s)(j) via sum of d^s mu(k/d) over d dividing gen_gcd(j, k, s)."""
     _check_args(k, s)
-    _, _, _, _, val = _context(k, s)
+    val = _context(k, s)[3]
     return val[gen_gcd(j % k**s, k, s)]
 
 
 def csum_hoelder(k: int, j: int, s: int = 1) -> int:
     """c_k^(s)(j) via the closed form J_s(k) mu(k/e) / J_s(k/e)."""
     _check_args(k, s)
-    _, _, mu, js, _ = _context(k, s)
+    _, mu, js, _ = _context(k, s)
     e = gen_gcd(j % k**s, k, s)
     m = mu[e]
     if m == 0:
@@ -120,10 +138,7 @@ def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
     Costs J_s(k) table lookups; refuses once k^s exceeds cap rather than
     silently truncating the range.
     """
-    _check_args(k, s)
-    K = k**s
-    if K > cap:
-        raise ResourceLimitError(f"k^s = {K} exceeds cap {cap} for direct summation")
+    K = _period(k, s, cap, "direct summation")
     m = _direct_context(k, s)
     cos_t, sin_t = _trig_table(K)
     idx = (j % K) * m % K
@@ -166,11 +181,8 @@ class CsumTable:
 
 @lru_cache(maxsize=8)
 def _table_values(k: int, s: int, cap: int) -> tuple:
-    _check_args(k, s)
-    K = k**s
-    if K > cap:
-        raise ResourceLimitError(f"k^s = {K} exceeds cap {cap} for a full period table")
-    _, divs, _, _, val = _context(k, s)
+    K = _period(k, s, cap, "a full period table")
+    divs, _, _, val = _context(k, s)
     arr = np.full(K, val[1], dtype=np.int64)
     for d in divs[1:]:
         arr[:: d**s] = val[d]

@@ -13,9 +13,6 @@ from math import comb
 from .arith import factorize
 from .errors import InternalConsistencyError
 
-Rational = Fraction
-
-
 def rat_str(q) -> str:
     """Canonical string for a rational: "p/q" in lowest terms, "p" for integers."""
     q = Fraction(q)

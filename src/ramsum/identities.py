@@ -3,7 +3,7 @@
 Each checker computes one left-hand side by literal summation over j, using
 the csum tables, and one right-hand side from the matching closed form, so
 the two sides never share a derivation.  Exact checkers compare canonical
-Rational or LogLinear values; floating checkers carry explicit tolerances.
+Fraction or LogLinear values; floating checkers carry explicit tolerances.
 The suite runner sweeps parameter grids, optionally in parallel, and renders
 byte-deterministic reports.
 """
@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .arith import divisors, euler_phi, factorize, jordan_totient, moebius, tau_sigma, von_mangoldt
-from .csum import DEFAULT_CAP, _block_fsum, _trig_table, csum_moebius, csum_table, theta
+from .csum import DEFAULT_CAP, _block_fsum, _period, _trig_table, csum_moebius, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import bernoulli_number, binomial, coprime_power_sum, power_sum, rat_str
 from .logspace import TWO_PI, LogLinear, float_value, log_factorial, mu_log_lemma_sides
@@ -36,11 +36,10 @@ COSINE_TOL = 1e-9
 @dataclass(frozen=True)
 class WeightFunctionSpec:
     """Arithmetic weight f fed the s-power gcd value: power(t) is x^t,
-    jordan(t) is J_t, table is an explicit (x, f(x)) lookup."""
+    jordan(t) is J_t, and phi, tau, sigma take no parameter."""
 
     kind: str
     t: int | None = None
-    table: tuple[tuple[int, int], ...] | None = None
 
     @property
     def label(self) -> str:
@@ -62,11 +61,6 @@ def weight_value(spec: WeightFunctionSpec, x: int) -> int:
         return tau_sigma(factorize(x))[0]
     if spec.kind == "sigma":
         return tau_sigma(factorize(x))[1]
-    if spec.kind == "table":
-        for key, val in spec.table or ():
-            if key == x:
-                return val
-        raise ValueError(f"weight table has no entry for {x}")
     raise ValueError(f"unknown weight kind {spec.kind!r}")
 
 
@@ -107,15 +101,6 @@ def _result(identity: str, params: dict, lhs, rhs, residual: float, mode: str, p
     return CheckResult(identity, params, lhs, rhs, float(residual), mode, bool(passed), classification)
 
 
-def _check_ks(k: int, s: int, cap: int, what: str) -> int:
-    if k < 1 or s < 1:
-        raise ValueError("k and s must be positive")
-    K = k**s
-    if K > cap:
-        raise ResourceLimitError(f"k^s = {K} exceeds cap {cap} for {what}")
-    return K
-
-
 # ---------------------------------------------------------------- weighted averages
 
 
@@ -123,7 +108,7 @@ def check_alkan_classical(k: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Check
     """(1/k^(r+1)) sum_{j<=k} j^r c_k(j) against the totient-Bernoulli form."""
     if r < 1:
         raise ValueError("r must be positive")
-    _check_ks(k, 1, cap, "the classical power-weight sum")
+    _period(k, 1, cap, "the classical power-weight sum")
     vals = csum_table(k, 1, cap).values
     total = sum(j**r * vals[j] for j in range(1, k) if vals[j]) + k**r * vals[0]
     lhs = Fraction(total, k ** (r + 1))
@@ -140,7 +125,7 @@ def check_alkan_generalized(k: int, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP
     """(1/k^(s(r+1))) sum_{j<=k^s} j^r c_k^(s)(j) against the J_s closed form."""
     if r < 1:
         raise ValueError("r must be positive")
-    K = _check_ks(k, s, cap, "the generalized power-weight sum")
+    K = _period(k, s, cap, "the generalized power-weight sum")
     vals = csum_table(k, s, cap).values
     total = sum(j**r * vals[j] for j in range(1, K) if vals[j]) + K**r * vals[0]
     lhs = Fraction(total, K ** (r + 1))
@@ -187,7 +172,7 @@ def check_log_weight(k: int, s: int) -> CheckResult:
 
 def check_gcd_weight(k: int, s: int, f: WeightFunctionSpec, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
     """sum_{j<=k^s} f(gengcd^s) c_k^(s)(j) against J_s(k) [(f o N^s) * (mu o N^s)](k)."""
-    K = _check_ks(k, s, cap, "the gcd-weight sum")
+    K = _period(k, s, cap, "the gcd-weight sum")
     vals = np.asarray(csum_table(k, s, cap).values, dtype=np.int64)
     fac = factorize(k)
     divs = divisors(fac)
@@ -214,7 +199,7 @@ def check_gamma_weight(k: int, s: int, cap: int = DEFAULT_SWEEP_CAP, tol: float 
     """
     if k < 2:
         raise ValueError("k must be at least 2, the k = 1 case degenerates")
-    K = _check_ks(k, s, cap, "the log-Gamma sum")
+    K = _period(k, s, cap, "the log-Gamma sum")
     tol = DEFAULT_FLOAT_TOL if tol is None else tol
     vals = csum_table(k, s, cap).values
     terms = [math.lgamma(j / K) * vals[j] for j in range(1, K) if vals[j]]
@@ -250,7 +235,7 @@ def check_bernoulli_weight(k: int, s: int, m: int, cap: int = DEFAULT_SWEEP_CAP)
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    K = _check_ks(k, s, cap, "the Bernoulli-weight sum")
+    K = _period(k, s, cap, "the Bernoulli-weight sum")
     vals = csum_table(k, s, cap).values
     coeff = [binomial(m, i) * bernoulli_number(i) * Fraction(K) ** i for i in range(m + 1)]
     den = reduce(math.lcm, (c.denominator for c in coeff), 1)
@@ -274,11 +259,7 @@ def check_bernoulli_weight(k: int, s: int, m: int, cap: int = DEFAULT_SWEEP_CAP)
 def check_binomial_weight(k: int, s: int, tol: float | None = None) -> CheckResult:
     """sum_{j=0..k^s} C(k^s, j) c_k^(s)(j), exactly via series multisection and
     in floating point via the signed cosine-power form."""
-    if k < 1 or s < 1:
-        raise ValueError("k and s must be positive")
-    K = k**s
-    if K > 256:
-        raise ResourceLimitError(f"k^s = {K} exceeds 256, binomials grow as 2^(k^s)")
+    K = _period(k, s, 256, "the binomial-weight sum, whose binomials grow as 2^(k^s)")
     tol = COSINE_TOL if tol is None else tol
     vals = csum_table(k, s, DEFAULT_CAP).values
     lhs = sum(binomial(K, j) * vals[j % K] for j in range(K + 1))
@@ -325,7 +306,7 @@ def check_exp_weight(k: int, s: int, n: int, cap: int = DEFAULT_SWEEP_CAP, tol: 
     """(1/k^s) sum_j e(jn/k^s) c_k^(s)(j) against the indicator theta_k^(s)(n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    K = _check_ks(k, s, cap, "the exponential-weight sum")
+    K = _period(k, s, cap, "the exponential-weight sum")
     tol = COSINE_TOL if tol is None else tol
     vals = np.asarray(csum_table(k, s, cap).values, dtype=np.float64)
     cos_t, sin_t = _trig_table(K)
@@ -375,7 +356,7 @@ def check_multivariate(ks, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Chec
     if r < 1:
         raise ValueError("r must be positive")
     k = reduce(math.lcm, ks, 1)
-    K = _check_ks(k, s, cap, "the multivariate power-weight sum")
+    K = _period(k, s, cap, "the multivariate power-weight sum")
     tables = [csum_table(ki, s, cap).values for ki in ks]
     bound = 1
     for t in tables:
@@ -448,24 +429,6 @@ def check_mu_log_lemma(k: int, s: int) -> CheckResult:
 
 # ---------------------------------------------------------------- suite runner
 
-ALL_IDENTITIES = (
-    "alkan",
-    "alkan-classical",
-    "log-weight",
-    "gcd-weight",
-    "gamma-weight",
-    "gauss-product",
-    "bernoulli-weight",
-    "binomial-weight",
-    "multisection",
-    "exp-weight",
-    "mu-log-lemma",
-    "multivariate",
-    "g-multiplicative",
-    "power-sum",
-    "coprime-power-sum",
-)
-
 DEFAULT_WEIGHTS = ("power:s", "phi", "jordan:2", "tau", "sigma")
 
 
@@ -488,7 +451,6 @@ class SuiteConfig:
     cap: int = DEFAULT_SWEEP_CAP
     tolerance: float | None = None
     jobs: int = 1
-    strict_findings: bool = False
 
 
 @dataclass
@@ -518,18 +480,24 @@ def _nmax(cfg: SuiteConfig, default: int) -> int:
     return cfg.n_max if cfg.n_max is not None else default
 
 
+def _capped_ks(cfg: SuiteConfig, k_default: int, s_default: int = 2, lo: int = 1, cap: int | None = None):
+    """(k, s, k^s) with k outer and s inner, keeping the points with k^s <= cap."""
+    cap = cfg.cap if cap is None else cap
+    for k in _kvals(cfg, k_default, lo):
+        for s in _svals(cfg, s_default):
+            try:
+                K = _period(k, s, cap, "a sweep grid")
+            except ResourceLimitError:
+                break  # s ascends and k^s with it
+            yield k, s, K
+
+
 def _grid_alkan_classical(cfg):
     return [{"k": k, "r": r} for k in _kvals(cfg, 30) if k <= cfg.cap for r in _rvals(cfg, 4)]
 
 
 def _grid_alkan(cfg):
-    return [
-        {"k": k, "r": r, "s": s}
-        for k in _kvals(cfg, 20)
-        for s in _svals(cfg, 2)
-        if k**s <= cfg.cap
-        for r in _rvals(cfg, 4)
-    ]
+    return [{"k": k, "r": r, "s": s} for k, s, _ in _capped_ks(cfg, 20) for r in _rvals(cfg, 4)]
 
 
 def _grid_log_weight(cfg):
@@ -539,24 +507,16 @@ def _grid_log_weight(cfg):
 def _grid_gcd_weight(cfg):
     weights = cfg.weights if cfg.weights is not None else DEFAULT_WEIGHTS
     out = []
-    for k in _kvals(cfg, 25):
-        for s in _svals(cfg, 2):
-            if k**s > cfg.cap:
-                continue
-            for token in weights:
-                resolved = token.replace(":s", f":{s}") if token.endswith(":s") else token
-                parse_weight(resolved)
-                out.append({"k": k, "s": s, "weight": resolved})
+    for k, s, _ in _capped_ks(cfg, 25):
+        for token in weights:
+            resolved = token.replace(":s", f":{s}") if token.endswith(":s") else token
+            parse_weight(resolved)
+            out.append({"k": k, "s": s, "weight": resolved})
     return out
 
 
 def _grid_gamma_weight(cfg):
-    return [
-        {"k": k, "s": s}
-        for k in _kvals(cfg, 30, lo=2)
-        for s in _svals(cfg, 2)
-        if k**s <= cfg.cap
-    ]
+    return [{"k": k, "s": s} for k, s, _ in _capped_ks(cfg, 30, lo=2)]
 
 
 def _grid_gauss_product(cfg):
@@ -565,21 +525,13 @@ def _grid_gauss_product(cfg):
 
 def _grid_bernoulli_weight(cfg):
     mmax = cfg.m_max if cfg.m_max is not None else 6
-    return [
-        {"k": k, "m": m, "s": s}
-        for k in _kvals(cfg, 12)
-        for s in _svals(cfg, 2)
-        if k**s <= cfg.cap
-        for m in range(mmax + 1)
-    ]
+    return [{"k": k, "m": m, "s": s} for k, s, _ in _capped_ks(cfg, 12) for m in range(mmax + 1)]
 
 
 def _grid_binomial_weight(cfg):
     # default sweep stays at k^s <= 64; explicit ranges may reach the hard 256
     hard = 64 if cfg.k_max is None and cfg.s is None and cfg.s_max is None else 256
-    bound = min(hard, cfg.cap)
-    svals = [cfg.s] if cfg.s is not None else list(range(1, (cfg.s_max or 6) + 1))
-    return [{"k": k, "s": s} for k in _kvals(cfg, 64) for s in svals if k**s <= bound]
+    return [{"k": k, "s": s} for k, s, _ in _capped_ks(cfg, 64, s_default=6, cap=min(hard, cfg.cap))]
 
 
 def _grid_multisection(cfg):
@@ -589,15 +541,9 @@ def _grid_multisection(cfg):
 
 
 def _grid_exp_weight(cfg):
-    out = []
-    for k in _kvals(cfg, 12):
-        for s in _svals(cfg, 2):
-            K = k**s
-            if K > cfg.cap:
-                continue
-            for n in range(min(K, _nmax(cfg, 25)) + 1):
-                out.append({"k": k, "n": n, "s": s})
-    return out
+    return [
+        {"k": k, "n": n, "s": s} for k, s, K in _capped_ks(cfg, 12) for n in range(min(K, _nmax(cfg, 25)) + 1)
+    ]
 
 
 def _grid_mu_log_lemma(cfg):
@@ -647,41 +593,42 @@ def _grid_coprime_power_sum(cfg):
     return [{"n": n, "r": r} for n in range(1, _nmax(cfg, 100) + 1) for r in range(1, rmax + 1)]
 
 
-_GRIDS = {
-    "alkan": _grid_alkan,
-    "alkan-classical": _grid_alkan_classical,
-    "log-weight": _grid_log_weight,
-    "gcd-weight": _grid_gcd_weight,
-    "gamma-weight": _grid_gamma_weight,
-    "gauss-product": _grid_gauss_product,
-    "bernoulli-weight": _grid_bernoulli_weight,
-    "binomial-weight": _grid_binomial_weight,
-    "multisection": _grid_multisection,
-    "exp-weight": _grid_exp_weight,
-    "mu-log-lemma": _grid_mu_log_lemma,
-    "multivariate": _grid_multivariate,
-    "g-multiplicative": _grid_g_multiplicative,
-    "power-sum": _grid_power_sum,
-    "coprime-power-sum": _grid_coprime_power_sum,
+# The identity registry, in "all" order: id -> (grid builder, check).  A grid
+# builder maps a SuiteConfig to parameter dicts; a check maps (params, cap,
+# tol) to a CheckResult and names its check_* function, looked up at call time.
+_REGISTRY = {
+    "alkan": (_grid_alkan, lambda p, cap, tol: check_alkan_generalized(p["k"], p["s"], p["r"], cap=cap)),
+    "alkan-classical": (_grid_alkan_classical, lambda p, cap, tol: check_alkan_classical(p["k"], p["r"], cap=cap)),
+    "log-weight": (_grid_log_weight, lambda p, cap, tol: check_log_weight(p["k"], p["s"])),
+    "gcd-weight": (
+        _grid_gcd_weight,
+        lambda p, cap, tol: check_gcd_weight(p["k"], p["s"], parse_weight(p["weight"]), cap=cap),
+    ),
+    "gamma-weight": (_grid_gamma_weight, lambda p, cap, tol: check_gamma_weight(p["k"], p["s"], cap=cap, tol=tol)),
+    "gauss-product": (_grid_gauss_product, lambda p, cap, tol: check_gauss_product(p["N"], tol=tol)),
+    "bernoulli-weight": (
+        _grid_bernoulli_weight,
+        lambda p, cap, tol: check_bernoulli_weight(p["k"], p["s"], p["m"], cap=cap),
+    ),
+    "binomial-weight": (_grid_binomial_weight, lambda p, cap, tol: check_binomial_weight(p["k"], p["s"], tol=tol)),
+    "multisection": (_grid_multisection, lambda p, cap, tol: check_multisection(p["n"], p["r"], tol=tol)),
+    "exp-weight": (
+        _grid_exp_weight,
+        lambda p, cap, tol: check_exp_weight(p["k"], p["s"], p["n"], cap=cap, tol=tol),
+    ),
+    "mu-log-lemma": (_grid_mu_log_lemma, lambda p, cap, tol: check_mu_log_lemma(p["k"], p["s"])),
+    "multivariate": (_grid_multivariate, lambda p, cap, tol: check_multivariate(p["ks"], p["s"], p["r"], cap=cap)),
+    "g-multiplicative": (
+        _grid_g_multiplicative,
+        lambda p, cap, tol: check_g_multiplicative(p["ks"], p["ks2"], p["s"], p["m"]),
+    ),
+    "power-sum": (_grid_power_sum, lambda p, cap, tol: check_power_sum(p["N"], p["r"])),
+    "coprime-power-sum": (_grid_coprime_power_sum, lambda p, cap, tol: check_coprime_power_sum(p["n"], p["r"])),
 }
 
-_DISPATCH = {
-    "alkan": lambda p, cap, tol: check_alkan_generalized(p["k"], p["s"], p["r"], cap=cap),
-    "alkan-classical": lambda p, cap, tol: check_alkan_classical(p["k"], p["r"], cap=cap),
-    "log-weight": lambda p, cap, tol: check_log_weight(p["k"], p["s"]),
-    "gcd-weight": lambda p, cap, tol: check_gcd_weight(p["k"], p["s"], parse_weight(p["weight"]), cap=cap),
-    "gamma-weight": lambda p, cap, tol: check_gamma_weight(p["k"], p["s"], cap=cap, tol=tol),
-    "gauss-product": lambda p, cap, tol: check_gauss_product(p["N"], tol=tol),
-    "bernoulli-weight": lambda p, cap, tol: check_bernoulli_weight(p["k"], p["s"], p["m"], cap=cap),
-    "binomial-weight": lambda p, cap, tol: check_binomial_weight(p["k"], p["s"], tol=tol),
-    "multisection": lambda p, cap, tol: check_multisection(p["n"], p["r"], tol=tol),
-    "exp-weight": lambda p, cap, tol: check_exp_weight(p["k"], p["s"], p["n"], cap=cap, tol=tol),
-    "mu-log-lemma": lambda p, cap, tol: check_mu_log_lemma(p["k"], p["s"]),
-    "multivariate": lambda p, cap, tol: check_multivariate(p["ks"], p["s"], p["r"], cap=cap),
-    "g-multiplicative": lambda p, cap, tol: check_g_multiplicative(p["ks"], p["ks2"], p["s"], p["m"]),
-    "power-sum": lambda p, cap, tol: check_power_sum(p["N"], p["r"]),
-    "coprime-power-sum": lambda p, cap, tol: check_coprime_power_sum(p["n"], p["r"]),
-}
+ALL_IDENTITIES = tuple(_REGISTRY)
+# the check column alone; perfbench's tracer reads it to attribute check spans
+_DISPATCH = {name: check for name, (_, check) in _REGISTRY.items()}
 
 
 def resolve_identities(names) -> list[str]:
@@ -689,7 +636,7 @@ def resolve_identities(names) -> list[str]:
     for name in names:
         if name == "all":
             out.extend(ALL_IDENTITIES)
-        elif name in _GRIDS:
+        elif name in _REGISTRY:
             out.append(name)
         else:
             raise ValueError(f"unknown identity id {name!r}")
@@ -705,7 +652,8 @@ def build_grid(cfg: SuiteConfig) -> list:
     """
     points = []
     for identity in resolve_identities(cfg.identities):
-        for params in _GRIDS[identity](cfg):
+        grid, _ = _REGISTRY[identity]
+        for params in grid(cfg):
             points.append((identity, params, cfg.cap, cfg.tolerance))
     return points
 
@@ -741,6 +689,9 @@ def run_suite(cfg: SuiteConfig) -> IdentityReport:
 
 # ---------------------------------------------------------------- rendering
 
+_CSV_COLUMNS = ("identity", "params", "lhs", "rhs", "residual", "mode", "pass", "classification")
+_HUMAN_COLUMNS = ("identity", "params", "lhs", "rhs", "residual", "classification")
+
 
 def _render_exact(v) -> object:
     if isinstance(v, (int, Fraction)):
@@ -762,8 +713,18 @@ def _result_row(r: CheckResult) -> dict:
         "mode": r.mode,
         "pass": r.passed,
         "classification": r.classification,
-        "elapsed_ms": 0,
     }
+
+
+def _cells(r: CheckResult) -> dict:
+    """Text of every report column for one result, shared by csv and human."""
+    row = _result_row(r)
+    row["params"] = json.dumps(r.params, sort_keys=True, separators=(",", ":"))
+    for key in ("lhs", "rhs", "residual"):
+        if not isinstance(row[key], str):
+            row[key] = repr(row[key])
+    row["pass"] = "true" if r.passed else "false"
+    return row
 
 
 def render_report(report: IdentityReport, fmt: str = "human") -> str:
@@ -782,42 +743,18 @@ def render_report(report: IdentityReport, fmt: str = "human") -> str:
 
         buf = io.StringIO()
         writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(["identity", "params", "lhs", "rhs", "residual", "mode", "pass", "classification", "elapsed_ms"])
+        writer.writerow(_CSV_COLUMNS)
         for r in report.results:
-            row = _result_row(r)
-            writer.writerow(
-                [
-                    row["identity"],
-                    json.dumps(row["params"], sort_keys=True, separators=(",", ":")),
-                    row["lhs"] if isinstance(row["lhs"], str) else repr(row["lhs"]),
-                    row["rhs"] if isinstance(row["rhs"], str) else repr(row["rhs"]),
-                    repr(row["residual"]),
-                    row["mode"],
-                    "true" if row["pass"] else "false",
-                    row["classification"],
-                    "0",
-                ]
-            )
+            cells = _cells(r)
+            writer.writerow([cells[c] for c in _CSV_COLUMNS])
         return buf.getvalue()
     if fmt == "human":
-        rows = []
+        rows = [_HUMAN_COLUMNS]
         for r in report.results:
-            row = _result_row(r)
-            rows.append(
-                (
-                    row["identity"],
-                    json.dumps(row["params"], sort_keys=True, separators=(",", ":")),
-                    row["lhs"] if isinstance(row["lhs"], str) else repr(row["lhs"]),
-                    row["rhs"] if isinstance(row["rhs"], str) else repr(row["rhs"]),
-                    repr(row["residual"]),
-                    row["classification"],
-                )
-            )
-        header = ("identity", "params", "lhs", "rhs", "residual", "classification")
-        widths = [max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i]) for i in range(6)]
-        lines = ["  ".join(header[i].ljust(widths[i]) for i in range(6)).rstrip()]
-        for row in rows:
-            lines.append("  ".join(row[i].ljust(widths[i]) for i in range(6)).rstrip())
+            cells = _cells(r)
+            rows.append([cells[c] for c in _HUMAN_COLUMNS])
+        widths = [max(len(row[i]) for row in rows) for i in range(len(_HUMAN_COLUMNS))]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
         lines.append(f"summary pass={report.passed} fail={report.failed} findings={report.findings}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

@@ -19,25 +19,10 @@ from .exactnum import rat_str
 TWO_PI = "2pi"
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _check_symbol(sym) -> None:
     if sym == TWO_PI:
         return
-    if not isinstance(sym, int) or not _is_prime(sym):
+    if not isinstance(sym, int) or sym < 2 or factorize(sym).factors != ((sym, 1),):
         raise ValueError(f"LogLinear symbols are primes or {TWO_PI!r}, got {sym!r}")
 
 
@@ -112,6 +97,7 @@ class LogLinear:
     __hash__ = None
 
     def __str__(self) -> str:
+        """Canonical text form: terms ordered by prime, log(2pi) last."""
         if not self._c:
             return "0"
         parts = []
@@ -121,11 +107,6 @@ class LogLinear:
 
     def __repr__(self) -> str:
         return f"LogLinear({self})"
-
-
-def render(x: LogLinear) -> str:
-    """Canonical text form: terms ordered by prime, log(2pi) last."""
-    return str(x)
 
 
 def float_value(x: LogLinear) -> float:

@@ -1,4 +1,11 @@
+import os
+from pathlib import Path
+
 import hypothesis
+
+# subprocess tests run `python -m ramsum`; let them import this checkout's src
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 hypothesis.settings.register_profile(
     "suite",

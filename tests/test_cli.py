@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -63,6 +64,24 @@ class TestEval:
         assert "cap" in err
 
 
+class TestHugePeriod:
+    """A k^s far past the cap is refused from its size alone, never built or printed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "csum", "--k", "6", "--j", "3", "--s", "1000000", "--method", "direct"),
+            ("table", "--k", "6", "--s", "1000000"),
+        ],
+    )
+    def test_cap_refusal_is_fast(self, capsys, argv):
+        started = time.perf_counter()
+        code, out, err = run_main(capsys, *argv)
+        assert time.perf_counter() - started < 5
+        assert code == 1 and out == ""
+        assert "cap" in err
+
+
 class TestTable:
     def test_csv_bytes(self, capsys):
         code, out, _ = run_main(capsys, "table", "--k", "2")
@@ -100,7 +119,7 @@ class TestVerify:
         )
         assert code == 0
         assert out.splitlines()[0] == (
-            "identity,params,lhs,rhs,residual,mode,pass,classification,elapsed_ms"
+            "identity,params,lhs,rhs,residual,mode,pass,classification"
         )
 
     def test_findings_exit_zero(self, capsys):
@@ -183,6 +202,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "csum", "--k", "6"])
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--s-max", "0"), ("--s-max", "-1"), ("--s", "0"), ("--m-max", "-1"), ("--jobs", "0")],
+)
+def test_verify_rejects_out_of_range_ints(capsys, flag, value):
+    # only a usage error may escape main: any other exception fails the test
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert "Traceback" not in err
+    assert f"argument {flag}:" in err
 
 
 class TestSubprocessInvocation:
