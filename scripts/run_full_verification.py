@@ -15,18 +15,19 @@ import sys
 import time
 from pathlib import Path
 
+from ramsum.cli import _int_at_least
 from ramsum.identities import SuiteConfig, render_report, run_suite
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="reports", help="report directory")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--k-max", type=int, default=None,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1)
+    parser.add_argument("--k-max", type=_int_at_least(1), default=None,
                         help="override the per-identity modulus ceilings")
-    parser.add_argument("--s-max", type=int, default=None)
-    parser.add_argument("--r-max", type=int, default=None)
-    parser.add_argument("--tuples", type=int, default=50,
+    parser.add_argument("--s-max", type=_int_at_least(1), default=None)
+    parser.add_argument("--r-max", type=_int_at_least(1), default=None)
+    parser.add_argument("--tuples", type=_int_at_least(0), default=50,
                         help="random coprime tuples for the g_m check")
     parser.add_argument("--seed", type=int, default=91)
     return parser.parse_args(argv)

@@ -10,6 +10,7 @@ routes agree by theorem, so any disagreement raises instead of returning.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,14 +81,14 @@ def csum_moebius(k: int, j: int, s: int = 1) -> int:
     """c_k^(s)(j) via sum of d^s mu(k/d) over d dividing gen_gcd(j, k, s)."""
     _check_args(k, s)
     val = _context(k, s)[3]
-    return val[gen_gcd(j % k**s, k, s)]
+    return val[gen_gcd(j, k, s)]
 
 
 def csum_hoelder(k: int, j: int, s: int = 1) -> int:
     """c_k^(s)(j) via the closed form J_s(k) mu(k/e) / J_s(k/e)."""
     _check_args(k, s)
     _, mu, js, _ = _context(k, s)
-    e = gen_gcd(j % k**s, k, s)
+    e = gen_gcd(j, k, s)
     m = mu[e]
     if m == 0:
         return 0
@@ -170,49 +171,70 @@ def csum_eval(k: int, j: int, s: int = 1, method: str = "moebius", cap: int = DE
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CsumTable:
-    """One period of j -> c_k^(s)(j) for j in range(k^s)."""
+    """One period of j -> c_k^(s)(j) for j in range(k^s), as a read-only
+    int64 array shared by every caller of csum_table."""
 
     k: int
     s: int
-    values: tuple
+    array: np.ndarray
+
+    @property
+    def values(self) -> tuple:
+        return tuple(self.array.tolist())
+
+    def moments(self, n: int) -> list:
+        """The literal moments M_t = sum_{0<=j<k^s} j^t c_k^(s)(j) for t = 0..n, as ints.
+
+        Each order not yet cached for this table costs one multiply-by-j
+        sweep over its nonzero entries.
+        """
+        js, powers, moments = _moment_state(self)
+        while len(moments) <= n:
+            powers[:] = map(operator.mul, powers, js)
+            moments.append(sum(powers))
+        return moments[: n + 1]
 
 
 @lru_cache(maxsize=8)
-def _table_values(k: int, s: int, cap: int) -> tuple:
-    K = _period(k, s, cap, "a full period table")
+def _table(k: int, s: int) -> CsumTable:
     divs, _, _, val = _context(k, s)
-    arr = np.full(K, val[1], dtype=np.int64)
+    arr = np.full(k**s, val[1], dtype=np.int64)
     for d in divs[1:]:
         arr[:: d**s] = val[d]
-    return tuple(int(v) for v in arr)
+    arr.flags.writeable = False
+    return CsumTable(k, s, arr)
+
+
+@lru_cache(maxsize=2)
+def _moment_state(table: CsumTable) -> tuple:
+    """(js, powers, moments) of one table, extended in place by
+    CsumTable.moments: js are the j with c(j) != 0, powers the current
+    j^t c(j) over them, and moments[t] = M_t for every order reached."""
+    js = np.flatnonzero(table.array)
+    powers = table.array[js].tolist()
+    return js.tolist(), powers, [sum(powers)]
 
 
 def csum_table(k: int, s: int = 1, cap: int = DEFAULT_CAP) -> CsumTable:
     """Full period of c_k^(s), filled by overwriting along divisor strides.
 
     Index j holds c_k^(s)(j); j = 0 holds the value at gen_gcd = k, which is
-    J_s(k) mu(1) = J_s(k).
+    J_s(k) mu(1) = J_s(k).  Tables are cached per (k, s); cap only decides
+    whether the period may be built.
     """
-    return CsumTable(k, s, _table_values(k, s, cap))
+    _period(k, s, cap, "a full period table")
+    return _table(k, s)
 
 
 def theta(k: int, n: int, s: int = 1) -> int:
-    """Indicator that gen_gcd(n mod k^s, k, s) = 1.
+    """Indicator that gen_gcd(n, k, s) = 1: no prime p | k has p^s | n.
 
     Equals the normalized exponential average (1/k^s) sum_j e(jn/k^s) c_k^(s)(j).
     """
     _check_args(k, s)
-    K = k**s
-    r = n % K
-    if r == 0:
-        return 1 if k == 1 else 0
-    fac = factorize(k)
-    for p, _ in fac.factors:
-        if r % p**s == 0:
-            return 0
-    return 1
+    return 1 if gen_gcd(n, k, s) == 1 else 0
 
 
 def fourier_coefficients(samples) -> np.ndarray:

@@ -109,8 +109,8 @@ def check_alkan_classical(k: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Check
     if r < 1:
         raise ValueError("r must be positive")
     _period(k, 1, cap, "the classical power-weight sum")
-    vals = csum_table(k, 1, cap).values
-    total = sum(j**r * vals[j] for j in range(1, k) if vals[j]) + k**r * vals[0]
+    table = csum_table(k, 1, cap)
+    total = table.moments(r)[r] + k**r * int(table.array[0])
     lhs = Fraction(total, k ** (r + 1))
     fac = factorize(k)
     rhs = Fraction(euler_phi(fac), 2 * k)
@@ -126,8 +126,8 @@ def check_alkan_generalized(k: int, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP
     if r < 1:
         raise ValueError("r must be positive")
     K = _period(k, s, cap, "the generalized power-weight sum")
-    vals = csum_table(k, s, cap).values
-    total = sum(j**r * vals[j] for j in range(1, K) if vals[j]) + K**r * vals[0]
+    table = csum_table(k, s, cap)
+    total = table.moments(r)[r] + K**r * int(table.array[0])
     lhs = Fraction(total, K ** (r + 1))
     fac = factorize(k)
     rhs = Fraction(jordan_totient(s, fac), 2 * k**s)
@@ -173,7 +173,7 @@ def check_log_weight(k: int, s: int) -> CheckResult:
 def check_gcd_weight(k: int, s: int, f: WeightFunctionSpec, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
     """sum_{j<=k^s} f(gengcd^s) c_k^(s)(j) against J_s(k) [(f o N^s) * (mu o N^s)](k)."""
     K = _period(k, s, cap, "the gcd-weight sum")
-    vals = np.asarray(csum_table(k, s, cap).values, dtype=np.int64)
+    vals = csum_table(k, s, cap).array
     fac = factorize(k)
     divs = divisors(fac)
     gg = np.full(K, 1, dtype=np.int64)
@@ -201,7 +201,7 @@ def check_gamma_weight(k: int, s: int, cap: int = DEFAULT_SWEEP_CAP, tol: float 
         raise ValueError("k must be at least 2, the k = 1 case degenerates")
     K = _period(k, s, cap, "the log-Gamma sum")
     tol = DEFAULT_FLOAT_TOL if tol is None else tol
-    vals = csum_table(k, s, cap).values
+    vals = csum_table(k, s, cap).array.tolist()
     terms = [math.lgamma(j / K) * vals[j] for j in range(1, K) if vals[j]]
     fac = factorize(k)
     lhs = math.fsum(terms) / jordan_totient(s, fac)
@@ -229,26 +229,18 @@ def check_gauss_product(N: int, tol: float | None = None) -> CheckResult:
 def check_bernoulli_weight(k: int, s: int, m: int, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
     """(1/k^s) sum_{j<k^s} B_m(j/k^s) c_k^(s)(j) against (B_m/k^(sm)) J_(sm)(k).
 
-    B_m(j/K) is evaluated through an integer Horner pass: the polynomial is
-    rescaled by the common denominator of its coefficients so the j loop
-    stays in plain integer arithmetic.
+    The polynomial is rescaled by the common denominator of its coefficients,
+    so the left side is an integer combination of the period's literal
+    moments M_t = sum_j j^t c_k^(s)(j).
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     K = _period(k, s, cap, "the Bernoulli-weight sum")
-    vals = csum_table(k, s, cap).values
+    moments = csum_table(k, s, cap).moments(m)
     coeff = [binomial(m, i) * bernoulli_number(i) * Fraction(K) ** i for i in range(m + 1)]
     den = reduce(math.lcm, (c.denominator for c in coeff), 1)
-    ints = [int(c * den) for c in coeff]
-    total = 0
-    for j in range(K):
-        c = vals[j]
-        if not c:
-            continue
-        acc = 0
-        for a in ints:
-            acc = acc * j + a
-        total += acc * c
+    # coefficient i multiplies j^(m-i)
+    total = sum(int(c * den) * M for c, M in zip(coeff, reversed(moments)))
     lhs = Fraction(total, den * K**m * K)
     fac = factorize(k)
     rhs = bernoulli_number(m) * Fraction(jordan_totient(s * m, fac), k ** (s * m))
@@ -261,7 +253,7 @@ def check_binomial_weight(k: int, s: int, tol: float | None = None) -> CheckResu
     in floating point via the signed cosine-power form."""
     K = _period(k, s, 256, "the binomial-weight sum, whose binomials grow as 2^(k^s)")
     tol = COSINE_TOL if tol is None else tol
-    vals = csum_table(k, s, DEFAULT_CAP).values
+    vals = csum_table(k, s, DEFAULT_CAP).array.tolist()
     lhs = sum(binomial(K, j) * vals[j % K] for j in range(K + 1))
     fac = factorize(k)
     rhs_exact = 0
@@ -308,7 +300,7 @@ def check_exp_weight(k: int, s: int, n: int, cap: int = DEFAULT_SWEEP_CAP, tol: 
         raise ValueError("n must be nonnegative")
     K = _period(k, s, cap, "the exponential-weight sum")
     tol = COSINE_TOL if tol is None else tol
-    vals = np.asarray(csum_table(k, s, cap).values, dtype=np.float64)
+    vals = csum_table(k, s, cap).array
     cos_t, sin_t = _trig_table(K)
     idx = (n % K) * np.arange(K, dtype=np.int64) % K
     lhs = complex(_block_fsum(cos_t[idx] * vals) / K, _block_fsum(sin_t[idx] * vals) / K)
@@ -357,18 +349,18 @@ def check_multivariate(ks, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Chec
         raise ValueError("r must be positive")
     k = reduce(math.lcm, ks, 1)
     K = _period(k, s, cap, "the multivariate power-weight sum")
-    tables = [csum_table(ki, s, cap).values for ki in ks]
+    tables = [csum_table(ki, s, cap).array for ki in ks]
     bound = 1
     for t in tables:
-        bound *= max(max(t), -min(t), 1)
+        bound *= max(int(t.max()), -int(t.min()), 1)
     if bound < 2**62:
         arr = np.ones(K, dtype=np.int64)
-        for ki, t in zip(ks, tables):
-            arr *= np.tile(np.asarray(t, dtype=np.int64), K // ki**s)
+        for t in tables:
+            arr *= np.tile(t, K // len(t))
         prods = arr.tolist()
     else:
-        periods = [ki**s for ki in ks]
-        prods = [reduce(lambda a, b: a * b, (t[j % P] for t, P in zip(tables, periods)), 1) for j in range(K)]
+        tables = [t.tolist() for t in tables]
+        prods = [reduce(lambda a, b: a * b, (t[j % len(t)] for t in tables), 1) for j in range(K)]
     total = sum(j**r * prods[j] for j in range(1, K) if prods[j]) + K**r * prods[0]
     lhs = Fraction(total, K ** (r + 1))
     prod_j = 1
@@ -480,15 +472,21 @@ def _nmax(cfg: SuiteConfig, default: int) -> int:
     return cfg.n_max if cfg.n_max is not None else default
 
 
+def _capped_s(cfg: SuiteConfig, k: int, s_default: int, cap: int):
+    """(s, k^s) for the s values of the grid with k^s <= cap."""
+    for s in _svals(cfg, s_default):
+        try:
+            K = _period(k, s, cap, "a sweep grid")
+        except ResourceLimitError:
+            break  # s ascends and k^s with it
+        yield s, K
+
+
 def _capped_ks(cfg: SuiteConfig, k_default: int, s_default: int = 2, lo: int = 1, cap: int | None = None):
     """(k, s, k^s) with k outer and s inner, keeping the points with k^s <= cap."""
     cap = cfg.cap if cap is None else cap
     for k in _kvals(cfg, k_default, lo):
-        for s in _svals(cfg, s_default):
-            try:
-                K = _period(k, s, cap, "a sweep grid")
-            except ResourceLimitError:
-                break  # s ascends and k^s with it
+        for s, K in _capped_s(cfg, k, s_default, cap):
             yield k, s, K
 
 
@@ -560,9 +558,7 @@ def _grid_multivariate(cfg):
     out = []
     for ks in tuples:
         k = reduce(math.lcm, ks, 1)
-        for s in _svals(cfg, 2):
-            if k**s > cfg.cap:
-                continue
+        for s, _ in _capped_s(cfg, k, 2, cfg.cap):
             for r in _rvals(cfg, 3):
                 out.append({"ks": list(ks), "r": r, "s": s})
     return out

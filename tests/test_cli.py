@@ -1,9 +1,11 @@
 """CLI behavior: output bytes, exit codes, determinism across --jobs."""
 
+import hashlib
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +82,25 @@ class TestHugePeriod:
         assert time.perf_counter() - started < 5
         assert code == 1 and out == ""
         assert "cap" in err
+
+
+class TestHugeExponent:
+    """Inputs whose k^s is never needed stay fast however large s is."""
+
+    @pytest.mark.parametrize("s", ["3000000", "10000000"])
+    def test_theta_huge_s(self, capsys, s):
+        started = time.perf_counter()
+        code, out, _ = run_main(capsys, "eval", "theta", "--k", "6", "--n", "5", "--s", s)
+        assert time.perf_counter() - started < 2
+        assert (code, out) == (0, "1\n")
+
+    def test_multivariate_huge_s_keeps_unit_tuples(self, capsys):
+        # only the tuples with lcm 1 have a period within the cap
+        started = time.perf_counter()
+        code, out, _ = run_main(capsys, "verify", "multivariate", "--s", "1000000")
+        assert time.perf_counter() - started < 5
+        assert code == 0
+        assert out.splitlines()[-1] == "summary pass=6 fail=0 findings=0"
 
 
 class TestTable:
@@ -187,6 +208,24 @@ class TestVerify:
         assert code == 1
 
 
+def test_exact_rows_of_default_report_are_pinned(capsys):
+    # exact-mode lhs/rhs are Fraction and LogLinear strings, so their bytes do
+    # not depend on libm; residual is left out because the binomial and
+    # log-weight rows compute it in floating point
+    code, out, _ = run_main(capsys, "verify", "all", "--format", "json")
+    assert code == 0
+    rows = [
+        {key: v for key, v in row.items() if key != "residual"}
+        for row in json.loads(out)["results"]
+        if row["mode"] == "exact"
+    ]
+    assert len(rows) == 3326
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5f29b9624a8c11207ed93555dbf41687a3fb086114ef59d184e5f3613b91f931"
+    )
+
+
 class TestUsageErrors:
     def test_unknown_identity(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -216,6 +255,14 @@ def test_verify_rejects_out_of_range_ints(capsys, flag, value):
     assert exc.value.code == 1
     assert "Traceback" not in err
     assert f"argument {flag}:" in err
+
+
+def test_full_verification_script_rejects_s_max_0():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_full_verification.py"
+    out = subprocess.run([sys.executable, str(script), "--s-max", "0"], capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "argument --s-max:" in out.stderr
 
 
 class TestSubprocessInvocation:

@@ -7,12 +7,13 @@ library routes are then cross-checked against each other on larger ranges.
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsum.arith import factorize, jordan_totient, moebius
+from ramsum.arith import divisors, factorize, gen_gcd, jordan_totient, moebius
 from ramsum.csum import (
     CsumEvaluation,
     csum_direct,
@@ -188,6 +189,50 @@ class TestTable:
     def test_cap_refusal(self):
         with pytest.raises(ResourceLimitError):
             csum_table(2000, 2, cap=1_000_000)
+
+    def test_array_is_shared_and_read_only(self):
+        a, b = csum_table(12, 2), csum_table(12, 2)
+        assert a.array is b.array
+        assert a.array.dtype == np.int64 and not a.array.flags.writeable
+        with pytest.raises(ValueError):
+            a.array[0] = 0
+        assert a.values == tuple(a.array.tolist())
+
+
+def reduced_moebius(k, j, s):
+    """c_k^(s)(j) with j reduced modulo k^s before the generalized gcd."""
+    g = gen_gcd(j % k**s, k, s)
+    return sum(d**s * moebius(factorize(k // d)) for d in divisors(factorize(g)))
+
+
+def reduced_hoelder(k, j, s):
+    e = gen_gcd(j % k**s, k, s)
+    return jordan_totient(s, factorize(k)) * moebius(factorize(k // e)) // jordan_totient(s, factorize(k // e))
+
+
+def reduced_theta(k, n, s):
+    r = n % k**s
+    if r == 0:
+        return 1 if k == 1 else 0
+    return 0 if any(r % p**s == 0 for p, _ in factorize(k).factors) else 1
+
+
+class TestUnreducedArguments:
+    """The evaluators and theta take j as given; reducing it modulo k^s first
+    must not change any value."""
+
+    def test_matches_reduced_formulas(self):
+        rng = random.Random(5)
+        for k in range(1, 31):
+            for s in range(1, 4):
+                K = k**s
+                js = {0, 1, -1, K, -K, 2 * K, -3 * K, K - 1, K + 1, 1 - K, -K - 1}
+                js.update(rng.randrange(-3 * K, 3 * K + 1) for _ in range(20))
+                for j in sorted(js):
+                    want = reduced_moebius(k, j, s)
+                    assert csum_moebius(k, j, s) == want, (k, j, s)
+                    assert csum_hoelder(k, j, s) == reduced_hoelder(k, j, s) == want, (k, j, s)
+                    assert theta(k, j, s) == reduced_theta(k, j, s), (k, j, s)
 
 
 class TestTheta:

@@ -219,6 +219,53 @@ class TestBernoulliWeight:
         assert check_bernoulli_weight(7, 2, 0).rhs == 0
 
 
+# (k, s) with k^s up to 4096, k = 1 included
+MOMENT_PERIODS = [(1, 1), (1, 3), (2, 1), (6, 1), (12, 2), (30, 1), (30, 2), (8, 3), (64, 2), (15, 3)]
+
+
+def bernoulli_poly(m, x):
+    return sum(math.comb(m, i) * bernoulli_number(i) * x ** (m - i) for i in range(m + 1))
+
+
+class TestMomentPass:
+    """The moment-based left sides equal term-by-term sums over one period."""
+
+    @pytest.mark.parametrize("k, s", MOMENT_PERIODS)
+    def test_bernoulli_lhs_term_by_term(self, k, s):
+        K = k**s
+        vals = [(j, csum_moebius(k, j, s)) for j in range(K)]
+        for m in range(9):
+            lhs = sum(Fraction(c, K) * bernoulli_poly(m, Fraction(j, K)) for j, c in vals if c)
+            assert check_bernoulli_weight(k, s, m).lhs == lhs, m
+
+    @pytest.mark.parametrize("k, s", MOMENT_PERIODS)
+    def test_alkan_lhs_term_by_term(self, k, s):
+        K = k**s
+        vals = [(j, csum_moebius(k, j, s)) for j in range(1, K + 1)]
+        for r in range(1, 6):
+            lhs = sum(Fraction(j**r * c, K ** (r + 1)) for j, c in vals)
+            assert check_alkan_generalized(k, s, r).lhs == lhs, r
+            if s == 1:
+                assert check_alkan_classical(k, r).lhs == lhs, r
+
+    def test_flipped_table_entry_fails_the_checks(self, monkeypatch):
+        from ramsum import csum
+
+        build = csum._table
+
+        def flipped(k, s):
+            arr = build(k, s).array.copy()
+            arr[1] += 1
+            return csum.CsumTable(k, s, arr)
+
+        monkeypatch.setattr(csum, "_table", flipped)
+        for m in range(4):
+            assert not check_bernoulli_weight(6, 1, m).passed, m
+        for r in range(1, 4):
+            assert not check_alkan_generalized(6, 1, r).passed, r
+            assert not check_alkan_classical(6, r).passed, r
+
+
 class TestBinomialWeight:
     def test_pinned_small(self):
         assert check_binomial_weight(1, 1).lhs == 2
