@@ -91,15 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sweep identity checks over a parameter grid")
     p.add_argument("identity", choices=ALL_IDENTITIES + ("all",))
     p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-max", type=_int_at_least(1), default=None)
     p.add_argument("--s", type=_int_at_least(1), default=None, help="fix s (overrides --s-max)")
     p.add_argument("--s-max", type=_int_at_least(1), default=None)
-    p.add_argument("--r-max", type=int, default=None)
+    p.add_argument("--r-max", type=_int_at_least(1), default=None)
     p.add_argument("--m-max", type=_int_at_least(0), default=None)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_int_at_least(1), default=None)
     p.add_argument("--ks", type=str, default=None, help="multivariate moduli, e.g. '2,3;4,6'")
     p.add_argument("--weights", type=str, default=None, help="comma list: power:T|power:s|phi|jordan:T|tau|sigma")
-    p.add_argument("--tuples", type=int, default=20, help="random tuple count for g-multiplicative")
+    p.add_argument("--tuples", type=_int_at_least(0), default=20, help="random tuple count for g-multiplicative")
     p.add_argument("--seed", type=int, default=91)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--format", choices=("json", "csv", "human"), default="human")

@@ -68,12 +68,9 @@ def _context(k: int, s: int):
     divs = divisors(factorize(k))
     mu = {d: moebius(factorize(k // d)) for d in divs}
     js = {d: jordan_totient(s, factorize(d)) for d in divs}
-    val = {}
-    for g in divs:
-        acc = 0
-        for d in divisors(factorize(g)):
-            acc += d**s * mu[d]
-        val[g] = acc
+    # the divisors of g | k are the d | k with g % d == 0; mu(k/d) = 0 drops the rest
+    terms = [(d, d**s * m) for d, m in mu.items() if m]
+    val = {g: sum(w for d, w in terms if g % d == 0) for g in divs}
     return divs, mu, js, val
 
 

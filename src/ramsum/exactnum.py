@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .arith import factorize
 from .errors import InternalConsistencyError
@@ -61,6 +61,16 @@ def bernoulli_poly(m: int, x) -> Fraction:
     return acc
 
 
+def bernoulli_tail(r: int, a) -> Fraction:
+    """(1/(r+1)) sum_{m=0..r//2} C(r+1, 2m) B_{2m} a(m), exactly.
+
+    The even-index Bernoulli tail shared by the Faulhaber form and every
+    power-weight closed form; a(m) supplies the m-th coefficient.
+    """
+    terms = (comb(r + 1, 2 * m) * bernoulli_number(2 * m) * a(m) for m in range(r // 2 + 1))
+    return sum(terms, Fraction(0)) / (r + 1)
+
+
 def power_sum(n_max: int, r: int) -> int:
     """Sum of n^r for n = 1..n_max via the even-index Bernoulli closed form.
 
@@ -73,10 +83,7 @@ def power_sum(n_max: int, r: int) -> int:
         raise ValueError("r must be nonnegative")
     if r == 0:
         return n_max
-    total = Fraction(n_max**r, 2)
-    for m in range(r // 2 + 1):
-        term = comb(r + 1, 2 * m) * bernoulli_number(2 * m) * n_max ** (r + 1 - 2 * m)
-        total += term / (r + 1)
+    total = Fraction(n_max**r, 2) + bernoulli_tail(r, lambda m: n_max ** (r + 1 - 2 * m))
     if total.denominator != 1:
         raise InternalConsistencyError(f"power_sum({n_max}, {r}) not integral: {total}")
     return total.numerator
@@ -96,14 +103,10 @@ def coprime_power_sum(n: int, r: int) -> int:
         raise ValueError("r must be nonnegative")
     if n == 1:
         return 1
-    fac = factorize(n)
-    total = Fraction(0)
-    for m in range(r // 2 + 1):
-        prod = Fraction(1)
-        for p in fac.primes():
-            prod *= 1 - Fraction(p) ** (2 * m - 1)
-        total += comb(r + 1, 2 * m) * bernoulli_number(2 * m) * prod / Fraction(n) ** (2 * m)
-    total *= Fraction(n ** (r + 1), r + 1)
+    primes = factorize(n).primes()
+    total = n ** (r + 1) * bernoulli_tail(
+        r, lambda m: prod(1 - Fraction(p) ** (2 * m - 1) for p in primes) / Fraction(n) ** (2 * m)
+    )
     if total.denominator != 1:
         raise InternalConsistencyError(f"coprime_power_sum({n}, {r}) not integral: {total}")
     return total.numerator

@@ -24,7 +24,7 @@ import numpy as np
 from .arith import divisors, euler_phi, factorize, jordan_totient, moebius, tau_sigma, von_mangoldt
 from .csum import DEFAULT_CAP, _block_fsum, _period, _trig_table, csum_moebius, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
-from .exactnum import bernoulli_number, binomial, coprime_power_sum, power_sum, rat_str
+from .exactnum import bernoulli_number, bernoulli_tail, binomial, coprime_power_sum, power_sum, rat_str
 from .logspace import TWO_PI, LogLinear, float_value, log_factorial, mu_log_lemma_sides
 
 DEFAULT_SWEEP_CAP = 100_000
@@ -104,39 +104,29 @@ def _result(identity: str, params: dict, lhs, rhs, residual: float, mode: str, p
 # ---------------------------------------------------------------- weighted averages
 
 
-def check_alkan_classical(k: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
-    """(1/k^(r+1)) sum_{j<=k} j^r c_k(j) against the totient-Bernoulli form."""
+def _alkan_sides(k: int, s: int, r: int, cap: int, what: str) -> tuple:
+    """Both sides of the power-weight identity with K = k^s: the literal
+    (1/K^(r+1)) sum_{j<=K} j^r c_k^(s)(j) and the J_s closed form."""
     if r < 1:
         raise ValueError("r must be positive")
-    _period(k, 1, cap, "the classical power-weight sum")
-    table = csum_table(k, 1, cap)
-    total = table.moments(r)[r] + k**r * int(table.array[0])
-    lhs = Fraction(total, k ** (r + 1))
+    K = _period(k, s, cap, what)
+    table = csum_table(k, s, cap)
+    lhs = Fraction(table.moments(r)[r] + K**r * int(table.array[0]), K ** (r + 1))
     fac = factorize(k)
-    rhs = Fraction(euler_phi(fac), 2 * k)
-    acc = Fraction(0)
-    for m in range(r // 2 + 1):
-        acc += binomial(r + 1, 2 * m) * bernoulli_number(2 * m) * Fraction(jordan_totient(2 * m, fac), k ** (2 * m))
-    rhs += acc / (r + 1)
+    tail = bernoulli_tail(r, lambda m: Fraction(jordan_totient(2 * m * s, fac), K ** (2 * m)))
+    return lhs, Fraction(jordan_totient(s, fac), 2 * K) + tail
+
+
+def check_alkan_classical(k: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
+    """(1/k^(r+1)) sum_{j<=k} j^r c_k(j) against the totient-Bernoulli form."""
+    lhs, rhs = _alkan_sides(k, 1, r, cap, "the classical power-weight sum")
     return _result("alkan-classical", {"k": k, "r": r}, lhs, rhs, abs(float(lhs - rhs)), "exact", lhs == rhs)
 
 
 def check_alkan_generalized(k: int, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
-    """(1/k^(s(r+1))) sum_{j<=k^s} j^r c_k^(s)(j) against the J_s closed form."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    K = _period(k, s, cap, "the generalized power-weight sum")
-    table = csum_table(k, s, cap)
-    total = table.moments(r)[r] + K**r * int(table.array[0])
-    lhs = Fraction(total, K ** (r + 1))
-    fac = factorize(k)
-    rhs = Fraction(jordan_totient(s, fac), 2 * k**s)
-    acc = Fraction(0)
-    for m in range(r // 2 + 1):
-        acc += binomial(r + 1, 2 * m) * bernoulli_number(2 * m) * Fraction(
-            jordan_totient(2 * m * s, fac), k ** (2 * m * s)
-        )
-    rhs += acc / (r + 1)
+    """(1/k^(s(r+1))) sum_{j<=k^s} j^r c_k^(s)(j) against the J_s closed form;
+    s = 1 is the classical identity."""
+    lhs, rhs = _alkan_sides(k, s, r, cap, "the generalized power-weight sum")
     return _result("alkan", {"k": k, "r": r, "s": s}, lhs, rhs, abs(float(lhs - rhs)), "exact", lhs == rhs)
 
 
@@ -350,27 +340,17 @@ def check_multivariate(ks, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Chec
     k = reduce(math.lcm, ks, 1)
     K = _period(k, s, cap, "the multivariate power-weight sum")
     tables = [csum_table(ki, s, cap).array for ki in ks]
-    bound = 1
+    bound = math.prod(max(int(t.max()), -int(t.min()), 1) for t in tables)
+    # int64 holds every product below 2^62; past that the tables become Python ints
+    dtype = np.int64 if bound < 2**62 else object
+    prods = np.ones(K, dtype=dtype)
     for t in tables:
-        bound *= max(int(t.max()), -int(t.min()), 1)
-    if bound < 2**62:
-        arr = np.ones(K, dtype=np.int64)
-        for t in tables:
-            arr *= np.tile(t, K // len(t))
-        prods = arr.tolist()
-    else:
-        tables = [t.tolist() for t in tables]
-        prods = [reduce(lambda a, b: a * b, (t[j % len(t)] for t in tables), 1) for j in range(K)]
+        prods *= np.tile(t.astype(dtype, copy=False), K // len(t))
+    prods = prods.tolist()
     total = sum(j**r * prods[j] for j in range(1, K) if prods[j]) + K**r * prods[0]
     lhs = Fraction(total, K ** (r + 1))
-    prod_j = 1
-    for ki in ks:
-        prod_j *= jordan_totient(s, factorize(ki))
-    rhs = Fraction(prod_j, 2 * K)
-    acc = Fraction(0)
-    for m in range(r // 2 + 1):
-        acc += binomial(r + 1, 2 * m) * bernoulli_number(2 * m) * g_divisor_sum(ks, s, m) / Fraction(k) ** (2 * m * s)
-    rhs += acc / (r + 1)
+    prod_j = math.prod(jordan_totient(s, factorize(ki)) for ki in ks)
+    rhs = Fraction(prod_j, 2 * K) + bernoulli_tail(r, lambda m: g_divisor_sum(ks, s, m) / Fraction(K) ** (2 * m))
     passed = lhs == rhs
     if r == 1:
         corollary = Fraction(prod_j, 2 * K) + g_divisor_sum(ks, s, 0) / 2
@@ -472,6 +452,10 @@ def _nmax(cfg: SuiteConfig, default: int) -> int:
     return cfg.n_max if cfg.n_max is not None else default
 
 
+def _mmax(cfg: SuiteConfig, default: int) -> int:
+    return cfg.m_max if cfg.m_max is not None else default
+
+
 def _capped_s(cfg: SuiteConfig, k: int, s_default: int, cap: int):
     """(s, k^s) for the s values of the grid with k^s <= cap."""
     for s in _svals(cfg, s_default):
@@ -522,8 +506,7 @@ def _grid_gauss_product(cfg):
 
 
 def _grid_bernoulli_weight(cfg):
-    mmax = cfg.m_max if cfg.m_max is not None else 6
-    return [{"k": k, "m": m, "s": s} for k, s, _ in _capped_ks(cfg, 12) for m in range(mmax + 1)]
+    return [{"k": k, "m": m, "s": s} for k, s, _ in _capped_ks(cfg, 12) for m in range(_mmax(cfg, 6) + 1)]
 
 
 def _grid_binomial_weight(cfg):
@@ -567,7 +550,6 @@ def _grid_multivariate(cfg):
 def _grid_g_multiplicative(cfg):
     rng = random.Random(cfg.seed)
     svals = _svals(cfg, 2)
-    mmax = cfg.m_max if cfg.m_max is not None else 2
     out = []
     for _ in range(cfg.tuples):
         n = rng.randint(1, 3)
@@ -575,18 +557,16 @@ def _grid_g_multiplicative(cfg):
         prod_a = reduce(lambda x, y: x * y, a, 1)
         pool = [v for v in range(1, 13) if math.gcd(v, prod_a) == 1]
         b = [rng.choice(pool) for _ in range(n)]
-        out.append({"ks": a, "ks2": b, "m": rng.randint(0, mmax), "s": rng.choice(svals)})
+        out.append({"ks": a, "ks2": b, "m": rng.randint(0, _mmax(cfg, 2)), "s": rng.choice(svals)})
     return out
 
 
 def _grid_power_sum(cfg):
-    rmax = cfg.r_max if cfg.r_max is not None else 6
-    return [{"N": n, "r": r} for n in range(1, _nmax(cfg, 200) + 1) for r in range(1, rmax + 1)]
+    return [{"N": n, "r": r} for n in range(1, _nmax(cfg, 200) + 1) for r in _rvals(cfg, 6)]
 
 
 def _grid_coprime_power_sum(cfg):
-    rmax = cfg.r_max if cfg.r_max is not None else 4
-    return [{"n": n, "r": r} for n in range(1, _nmax(cfg, 100) + 1) for r in range(1, rmax + 1)]
+    return [{"n": n, "r": r} for n in range(1, _nmax(cfg, 100) + 1) for r in _rvals(cfg, 4)]
 
 
 # The identity registry, in "all" order: id -> (grid builder, check).  A grid

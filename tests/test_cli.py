@@ -245,7 +245,17 @@ class TestUsageErrors:
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--s-max", "0"), ("--s-max", "-1"), ("--s", "0"), ("--m-max", "-1"), ("--jobs", "0")],
+    [
+        ("--s-max", "0"),
+        ("--s-max", "-1"),
+        ("--s", "0"),
+        ("--m-max", "-1"),
+        ("--jobs", "0"),
+        ("--k-max", "0"),
+        ("--r-max", "-1"),
+        ("--n-max", "-3"),
+        ("--tuples", "-1"),
+    ],
 )
 def test_verify_rejects_out_of_range_ints(capsys, flag, value):
     # only a usage error may escape main: any other exception fails the test

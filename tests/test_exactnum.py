@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from ramsum.exactnum import (
     bernoulli_number,
     bernoulli_poly,
+    bernoulli_tail,
     binomial,
     coprime_power_sum,
     power_sum,
@@ -153,6 +154,22 @@ class TestPowerSums:
 
     def test_coprime_power_sum_returns_int(self):
         assert isinstance(coprime_power_sum(12, 3), int)
+
+
+class TestBernoulliTail:
+    @given(st.integers(min_value=1, max_value=12))
+    def test_unit_coefficients_give_one_half(self, r):
+        # sum_{i<=r} C(r+1, i) B_i = 0 and only B_1 = -1/2 among odd i survives
+        assert bernoulli_tail(r, lambda m: 1) == Fraction(1, 2)
+
+    def test_r0_is_the_first_coefficient(self):
+        assert bernoulli_tail(0, lambda m: Fraction(7, 3)) == Fraction(7, 3)
+
+    def test_pinned_terms(self):
+        # r = 4: (1/5) [a(0) + C(5,2) B_2 a(1) + C(5,4) B_4 a(2)]
+        a = {0: 2, 1: 3, 2: 5}
+        expected = (2 + 10 * Fraction(1, 6) * 3 + 5 * Fraction(-1, 30) * 5) / 5
+        assert bernoulli_tail(4, a.__getitem__) == expected
 
 
 class TestRatStr:

@@ -347,6 +347,16 @@ class TestMultivariate:
             return
         assert check_multivariate(ks, s, r).passed
 
+    @pytest.mark.parametrize("k", [223, 251])
+    def test_products_past_int64(self, k):
+        # J_2(k)^4 > 2^62 sends the product period to Python ints; at k = 251
+        # it also passes 2^63, where an int64 product would wrap
+        K = k**2
+        out = check_multivariate([k] * 4, 2, 1)
+        c = [csum_moebius(k, j, 2) for j in range(1, K + 1)]
+        assert out.passed
+        assert out.lhs == Fraction(sum(j * v**4 for j, v in enumerate(c, start=1)), K**2)
+
     def test_g_reduces_to_jordan_at_n1(self):
         for k in range(1, 30):
             fac = factorize(k)
