@@ -23,19 +23,16 @@ import json
 import sys
 from pathlib import Path
 
-from ramsum.arith import divisors, factorize, moebius
+from ramsum.arith import factorize, moebius_divisors
+from ramsum.cli import _int_at_least
 from ramsum.identities import check_log_weight
 
 
-def surviving_divisors(k):
-    fac = factorize(k)
-    return [d for d in divisors(fac) if moebius(factorize(k // d)) != 0]
-
-
 def telescopes(k, s):
-    if len(factorize(k).factors) < 2:
+    fac = factorize(k)
+    if len(fac.factors) < 2:
         return False
-    return all(d**s > k for d in surviving_divisors(k) if d >= 2)
+    return all(d**s > k for d, _ in moebius_divisors(fac) if d >= 2)
 
 
 def is_s_full(k, s):
@@ -71,8 +68,8 @@ def census(k_max, s_max):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--k-max", type=int, default=200)
-    parser.add_argument("--s-max", type=int, default=4)
+    parser.add_argument("--k-max", type=_int_at_least(2), default=200)
+    parser.add_argument("--s-max", type=_int_at_least(2), default=4)
     parser.add_argument("--out", default="reports/log_weight_census.json")
     args = parser.parse_args(argv)
 

@@ -12,6 +12,7 @@ from .arith import (
     gen_gcd,
     jordan_totient,
     moebius,
+    moebius_divisors,
     primes_up_to,
     tau_sigma,
     von_mangoldt,
@@ -25,7 +26,6 @@ from .csum import (
     csum_hoelder,
     csum_moebius,
     csum_table,
-    fourier_coefficients,
     theta,
 )
 from .errors import InternalConsistencyError, ResourceLimitError

@@ -92,7 +92,7 @@ def configure_default_sieve(limit: int) -> PrimeSieve:
     """Replace the shared sieve (used by the CLI's --sieve-limit flag)."""
     global _default_sieve
     with _sieve_lock:
-        _default_sieve = PrimeSieve(max(int(limit), 2))
+        _default_sieve = PrimeSieve(limit)
     return _default_sieve
 
 
@@ -157,6 +157,19 @@ def moebius(fac: Factorization) -> int:
     if any(e > 1 for _, e in fac.factors):
         return 0
     return -1 if len(fac.factors) % 2 else 1
+
+
+def moebius_divisors(fac: Factorization) -> list[tuple[int, int]]:
+    """The pairs (d, mu(n/d)) over the d | n with mu(n/d) != 0, ascending in d.
+
+    n/d runs over the squarefree divisors of n, so each d is n over a product
+    of distinct primes of n and mu(n/d) is -1 to the number of those primes;
+    nothing past the factorization of n is factored.
+    """
+    out = [(fac.value, 1)]
+    for p, _ in fac.factors:
+        out += [(d // p, -m) for d, m in out]
+    return sorted(out)
 
 
 def jordan_totient(s: int, fac: Factorization) -> int:

@@ -43,9 +43,15 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser, default_cap: int) -> None:
-    parser.add_argument("--cap", type=int, default=default_cap, help="largest k^s any evaluation may touch")
-    parser.add_argument("--sieve-limit", type=int, default=None, help="rebuild the shared factorization sieve")
+def _add_common(parser: argparse.ArgumentParser, default_cap: int | None) -> None:
+    """--sieve-limit, and --cap unless default_cap is None (commands that build no period)."""
+    if default_cap is not None:
+        parser.add_argument(
+            "--cap", type=_int_at_least(1), default=default_cap, help="largest k^s any evaluation may touch"
+        )
+    parser.add_argument(
+        "--sieve-limit", type=_int_at_least(2), default=None, help="rebuild the shared factorization sieve"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ev.add_parser("jordan", help="Jordan totient J_s(n)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
-    _add_common(p, DEFAULT_CAP)
+    _add_common(p, None)
 
     p = ev.add_parser("bernoulli", help="Bernoulli number B_m")
     p.add_argument("--m", type=int, required=True)
@@ -74,13 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
-    _add_common(p, DEFAULT_CAP)
+    _add_common(p, None)
 
     p = ev.add_parser("theta", help="indicator theta_k^(s)(n)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
-    _add_common(p, DEFAULT_CAP)
+    _add_common(p, None)
 
     p = sub.add_parser("table", help="one full period of c_k^(s)")
     p.add_argument("--k", type=int, required=True)
@@ -179,7 +185,7 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "sieve_limit", None):
+        if getattr(args, "sieve_limit", None) is not None:
             configure_default_sieve(args.sieve_limit)
         if args.command == "eval":
             return _cmd_eval(args)

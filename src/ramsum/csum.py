@@ -3,8 +3,9 @@
 Three independent routes are provided.  The Moebius route sums d^s mu(k/d)
 over divisors d of the generalized gcd; the Hoelder route uses the closed
 form J_s(k) mu(k/e) / J_s(k/e); the direct route adds the k^s-th roots of
-unity over the s-coprime residues with compensated floating point.  Exact
-routes agree by theorem, so any disagreement raises instead of returning.
+unity over the s-coprime residues with compensated floating point.  Each
+exact route memoizes only the gcd class it is asked for and shares no
+cached state with the other, so their agreement is an independent check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, factorize, gen_gcd, jordan_totient, moebius
+from .arith import divisors, factorize, gen_gcd, jordan_totient, moebius, moebius_divisors
 from .errors import InternalConsistencyError, ResourceLimitError
 
 DEFAULT_CAP = 1_000_000
@@ -61,41 +62,37 @@ def _period(k: int, s: int, cap: int, what: str) -> int:
     raise ResourceLimitError(f"k^s for k={k}, s={s} exceeds cap {cap} for {what}")
 
 
-@lru_cache(maxsize=64)
-def _context(k: int, s: int):
-    """Divisor data for (k, s): the divisors, mu and J_s tables, and the
-    cumulative map val[g] = c_k^(s)(j) for gen_gcd(j, k, s) = g."""
-    divs = divisors(factorize(k))
-    mu = {d: moebius(factorize(k // d)) for d in divs}
-    js = {d: jordan_totient(s, factorize(d)) for d in divs}
-    # the divisors of g | k are the d | k with g % d == 0; mu(k/d) = 0 drops the rest
-    terms = [(d, d**s * m) for d, m in mu.items() if m]
-    val = {g: sum(w for d, w in terms if g % d == 0) for g in divs}
-    return divs, mu, js, val
+@lru_cache(maxsize=256)
+def _moebius_value(k: int, s: int, g: int) -> int:
+    """c_k^(s)(j) for gen_gcd(j, k, s) = g: the sum of d^s mu(k/d) over the d | g."""
+    return sum(d**s * m for d, m in moebius_divisors(factorize(k)) if g % d == 0)
 
 
 def csum_moebius(k: int, j: int, s: int = 1) -> int:
     """c_k^(s)(j) via sum of d^s mu(k/d) over d dividing gen_gcd(j, k, s)."""
     _check_args(k, s)
-    val = _context(k, s)[3]
-    return val[gen_gcd(j, k, s)]
+    return _moebius_value(k, s, gen_gcd(j, k, s))
+
+
+@lru_cache(maxsize=256)
+def _hoelder_value(k: int, s: int, e: int) -> int:
+    """c_k^(s)(j) for gen_gcd(j, k, s) = e: J_s(k) mu(k/e) / J_s(k/e), which
+    must be an integer."""
+    cofactor = factorize(k // e)
+    m = moebius(cofactor)
+    if m == 0:
+        return 0
+    num = jordan_totient(s, factorize(k)) * m
+    den = jordan_totient(s, cofactor)
+    if num % den != 0:
+        raise InternalConsistencyError(f"Hoelder quotient J_{s}({k})*mu/J_{s}({k // e}) not integral")
+    return num // den
 
 
 def csum_hoelder(k: int, j: int, s: int = 1) -> int:
     """c_k^(s)(j) via the closed form J_s(k) mu(k/e) / J_s(k/e)."""
     _check_args(k, s)
-    _, mu, js, _ = _context(k, s)
-    e = gen_gcd(j, k, s)
-    m = mu[e]
-    if m == 0:
-        return 0
-    num = js[k] * m
-    den = js[k // e]
-    if num % den != 0:
-        raise InternalConsistencyError(
-            f"Hoelder quotient J_{s}({k})*mu/J_{s}({k // e}) not integral for j={j}"
-        )
-    return num // den
+    return _hoelder_value(k, s, gen_gcd(j, k, s))
 
 
 @lru_cache(maxsize=8)
@@ -196,10 +193,10 @@ class CsumTable:
 
 @lru_cache(maxsize=8)
 def _table(k: int, s: int) -> CsumTable:
-    divs, _, _, val = _context(k, s)
-    arr = np.full(k**s, val[1], dtype=np.int64)
+    divs = divisors(factorize(k))
+    arr = np.full(k**s, _moebius_value(k, s, 1), dtype=np.int64)
     for d in divs[1:]:
-        arr[:: d**s] = val[d]
+        arr[:: d**s] = _moebius_value(k, s, d)
     arr.flags.writeable = False
     return CsumTable(k, s, arr)
 
@@ -232,17 +229,3 @@ def theta(k: int, n: int, s: int = 1) -> int:
     """
     _check_args(k, s)
     return 1 if gen_gcd(n, k, s) == 1 else 0
-
-
-def fourier_coefficients(samples) -> np.ndarray:
-    """Discrete Fourier coefficients g(m) = (1/k) sum_j f(j) e(-jm/k) of a
-    k-periodic sequence given as its values on one period."""
-    k = len(samples)
-    if k < 1:
-        raise ValueError("samples must hold at least one value")
-    if k > 4096:
-        raise ResourceLimitError(f"dense DFT declined for period {k} > 4096")
-    f = np.asarray(samples, dtype=np.complex128)
-    jm = np.outer(np.arange(k), np.arange(k)) % k
-    w = np.exp(-2j * np.pi * jm / k)
-    return w.T @ f / k

@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .arith import divisors, euler_phi, factorize, jordan_totient, moebius, tau_sigma, von_mangoldt
+from .arith import divisors, euler_phi, factorize, jordan_totient, moebius_divisors, tau_sigma, von_mangoldt
 from .csum import DEFAULT_CAP, _block_fsum, _period, _trig_table, csum_moebius, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import bernoulli_number, bernoulli_tail, binomial, coprime_power_sum, power_sum, rat_str
@@ -151,10 +151,12 @@ def check_log_weight(k: int, s: int) -> CheckResult:
     lhs = LogLinear({p: Fraction(v, k) for p, v in num.items()})
     fac = factorize(k)
     rhs = s * von_mangoldt(fac)
-    for d in divisors(fac):
+    for d, mu in moebius_divisors(fac):
+        # once 2^s > k every d >= 2 has k // d^s = 0, so d^s is never built there
+        if d > 1 and s >= k.bit_length():
+            continue
         arg = k // d**s
-        mu = moebius(factorize(k // d))
-        if mu and arg >= 2:
+        if arg >= 2:
             rhs = rhs + Fraction(d**s, k) * mu * log_factorial(arg)
     diff = lhs - rhs
     return _result("log-weight", {"k": k, "s": s}, lhs, rhs, abs(float_value(diff)), "exact", diff.is_zero)
@@ -173,9 +175,7 @@ def check_gcd_weight(k: int, s: int, f: WeightFunctionSpec, cap: int = DEFAULT_S
     for g in divs:
         fg = weight_value(f, g**s)
         lhs += fg * int(vals[gg == g].sum())
-    rhs = jordan_totient(s, fac) * sum(
-        weight_value(f, d**s) * moebius(factorize(k // d)) for d in divs
-    )
+    rhs = jordan_totient(s, fac) * sum(weight_value(f, d**s) * mu for d, mu in moebius_divisors(fac))
     params = {"k": k, "s": s, "weight": f.label}
     return _result("gcd-weight", params, lhs, rhs, abs(float(lhs - rhs)), "exact", lhs == rhs)
 
@@ -245,13 +245,9 @@ def check_binomial_weight(k: int, s: int, tol: float | None = None) -> CheckResu
     tol = COSINE_TOL if tol is None else tol
     vals = csum_table(k, s, DEFAULT_CAP).array.tolist()
     lhs = sum(binomial(K, j) * vals[j % K] for j in range(K + 1))
-    fac = factorize(k)
     rhs_exact = 0
     outer = []
-    for d in divisors(fac):
-        mu = moebius(factorize(k // d))
-        if not mu:
-            continue
+    for d, mu in moebius_divisors(factorize(k)):
         ds = d**s
         rhs_exact += mu * ds * sum(binomial(K, i * ds) for i in range(K // ds + 1))
         inner = []
@@ -307,18 +303,11 @@ def g_divisor_sum(ks, s: int, m: int) -> Fraction:
         raise ValueError("ks must be positive integers")
     if s < 1 or m < 0:
         raise ValueError("need s >= 1 and m >= 0")
-    per_axis = []
-    for k in ks:
-        fac = factorize(k)
-        per_axis.append([(d, d**s * moebius(factorize(k // d))) for d in divisors(fac)])
+    per_axis = [[(d, d**s * mu) for d, mu in moebius_divisors(factorize(k))] for k in ks]
     e = (1 - 2 * m) * s
     total = Fraction(0)
     for combo in product(*per_axis):
-        num = 1
-        for _, w in combo:
-            num *= w
-        if not num:
-            continue
+        num = math.prod(w for _, w in combo)
         ell = reduce(math.lcm, (d for d, _ in combo), 1)
         total += Fraction(num, ell**e) if e >= 0 else num * Fraction(ell) ** (-e)
     return total

@@ -21,6 +21,7 @@ from ramsum.arith import (
     gen_gcd,
     jordan_totient,
     moebius,
+    moebius_divisors,
     primes_up_to,
     tau_sigma,
     von_mangoldt,
@@ -128,6 +129,12 @@ class TestDivisorFunctions:
     def test_moebius_sum_over_divisors(self, n):
         total = sum(moebius(factorize(d)) for d in brute_divisors(n))
         assert total == (1 if n == 1 else 0)
+
+    def test_moebius_divisors_against_divisor_scan(self):
+        assert moebius_divisors(factorize(1)) == [(1, 1)]
+        for n in range(1, 2001):
+            want = [(d, moebius(factorize(n // d))) for d in divisors(factorize(n))]
+            assert moebius_divisors(factorize(n)) == [(d, m) for d, m in want if m], n
 
     @given(st.integers(min_value=1, max_value=500))
     def test_euler_phi_oracle(self, n):

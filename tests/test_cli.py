@@ -94,6 +94,22 @@ class TestHugeExponent:
         assert time.perf_counter() - started < 2
         assert (code, out) == (0, "1\n")
 
+    def test_csum_huge_s(self, capsys):
+        # gen_gcd(3, 6, s) = 1, so the Moebius route needs only 1^s mu(6)
+        started = time.perf_counter()
+        code, out, _ = run_main(capsys, "eval", "csum", "--k", "6", "--j", "3", "--s", "3000000")
+        assert time.perf_counter() - started < 2
+        assert (code, out) == (0, "1\n")
+
+    def test_log_weight_huge_s(self, capsys):
+        # d^s > k for every d >= 2, so both sides reduce to mu(k) log(k!) / k
+        # and the defect is -s Lambda(k): exact at k = 1 and 6 only
+        started = time.perf_counter()
+        code, out, _ = run_main(capsys, "verify", "log-weight", "--k-max", "6", "--s", "3000000")
+        assert time.perf_counter() - started < 2
+        assert code == 0
+        assert out.splitlines()[-1] == "summary pass=2 fail=0 findings=4"
+
     def test_multivariate_huge_s_keeps_unit_tuples(self, capsys):
         # only the tuples with lcm 1 have a period within the cap
         started = time.perf_counter()
@@ -242,6 +258,21 @@ class TestUsageErrors:
             main(["eval", "csum", "--k", "6"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "csum", "--k", "6", "--j", "3", "--sieve-limit", "-5"),
+            ("eval", "csum", "--k", "6", "--j", "3", "--sieve-limit", "0"),
+            ("eval", "jordan", "--n", "6", "--cap", "10"),
+        ],
+    )
+    def test_rejected_flag_values(self, capsys, argv):
+        # a sieve limit below 2 and --cap on a command without a period are usage errors
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        assert "Traceback" not in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "flag, value",
@@ -255,6 +286,8 @@ class TestUsageErrors:
         ("--r-max", "-1"),
         ("--n-max", "-3"),
         ("--tuples", "-1"),
+        ("--cap", "0"),
+        ("--cap", "-1"),
     ],
 )
 def test_verify_rejects_out_of_range_ints(capsys, flag, value):
@@ -273,6 +306,18 @@ def test_full_verification_script_rejects_s_max_0():
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert "argument --s-max:" in out.stderr
+
+
+def test_census_script_rejects_s_max_1(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "log_weight_census.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "--s-max", "1", "--out", str(tmp_path / "census.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert "argument --s-max:" in out.stderr
+    assert not (tmp_path / "census.json").exists()
 
 
 class TestSubprocessInvocation:

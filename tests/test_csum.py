@@ -21,7 +21,6 @@ from ramsum.csum import (
     csum_hoelder,
     csum_moebius,
     csum_table,
-    fourier_coefficients,
     theta,
 )
 from ramsum.errors import ResourceLimitError
@@ -265,30 +264,40 @@ class TestTheta:
 
 class TestFourier:
     def test_theta_spectrum_is_scaled_csum(self):
+        # the DFT g(m) = (1/k) sum_n theta(k, n) e(-nm/k) of theta is c_k(m) / k
         for k in (4, 6, 9):
-            samples = [theta(k, n, 1) for n in range(k)]
-            coeffs = fourier_coefficients(samples)
+            coeffs = np.fft.fft([theta(k, n, 1) for n in range(k)]) / k
             for m in range(k):
                 expect = csum_moebius(k, m, 1) / k
                 assert abs(coeffs[m] - expect) < 1e-9
 
-    def test_constant_sequence(self):
-        coeffs = fourier_coefficients([3.0] * 8)
-        assert abs(coeffs[0] - 3.0) < 1e-12
-        assert np.max(np.abs(coeffs[1:])) < 1e-12
 
-    def test_inverse_reconstruction(self):
-        rng = np.random.default_rng(7)
-        f = rng.normal(size=17)
-        g = fourier_coefficients(f)
-        k = len(f)
-        back = [sum(g[m] * cmath.exp(2j * math.pi * j * m / k) for m in range(k)) for j in range(k)]
-        assert max(abs(b - v) for b, v in zip(back, f)) < 1e-9
+class TestRouteIndependence:
+    """The Moebius and Hoelder routes share no cached state, so a wrong
+    Moebius divisor term shows up as a disagreement between them."""
 
-    def test_size_refusal(self):
-        with pytest.raises(ResourceLimitError):
-            fourier_coefficients([0.0] * 4097)
+    def test_flipped_moebius_term_splits_the_routes(self, monkeypatch):
+        from ramsum import csum
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fourier_coefficients([])
+        real = csum.moebius_divisors
+
+        def flipped(fac):
+            # flip mu(k/d) on the largest d < k, which divides gen_gcd = k at j = 0
+            pairs = real(fac)
+            if len(pairs) > 1:
+                d, m = pairs[-2]
+                pairs[-2] = (d, -m)
+            return pairs
+
+        routes = (csum._moebius_value, csum._hoelder_value)
+        for memo in routes:
+            memo.cache_clear()
+        monkeypatch.setattr(csum, "moebius_divisors", flipped)
+        try:
+            for k, s in ((6, 1), (12, 2), (30, 1)):
+                assert csum_moebius(k, 0, s) != csum_hoelder(k, 0, s), (k, s)
+        finally:
+            monkeypatch.undo()
+            for memo in routes:
+                memo.cache_clear()
+        assert csum_moebius(6, 0, 1) == csum_hoelder(6, 0, 1) == 2
