@@ -1,8 +1,9 @@
 """Command-line front end: single evaluations, period tables, identity sweeps.
 
 Exit codes are CI-oriented: 0 success, 1 usage or resource errors, 2 for
-verification failures (and for findings under --strict-findings).  All
-output is deterministic; the --jobs flag changes wall time, never bytes.
+verification failures (and for findings under --strict-findings), 3 for an
+internal consistency error, a bug in this library.  All output is
+deterministic; the --jobs flag changes wall time, never bytes.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import json
 import sys
 
 from .arith import configure_default_sieve, factorize, gen_gcd, jordan_totient
-from .csum import DEFAULT_CAP, csum_eval, csum_table, theta
-from .errors import ResourceLimitError
+from .csum import DEFAULT_CAP, _digit_budget, csum_eval, csum_table, theta
+from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import bernoulli_number, rat_str
 from .identities import ALL_IDENTITIES, DEFAULT_SWEEP_CAP, SuiteConfig, render_report, run_suite
 
@@ -132,16 +133,29 @@ def _parse_ks(text: str) -> tuple:
 
 
 def _cmd_eval(args) -> int:
+    # csum and jordan refuse a value past the int-to-str digit limit before
+    # building it; c_k^(s)(j) is about e^s for its gcd class e = gen_gcd(j, k, s)
     if args.what == "csum":
-        print(csum_eval(args.k, args.j, args.s, method=args.method, cap=args.cap).value)
+        _digit_budget(gen_gcd(args.j, args.k, args.s), args.s, f"c_k^(s)(j) at k={args.k}, s={args.s}")
+        value = csum_eval(args.k, args.j, args.s, method=args.method, cap=args.cap).value
     elif args.what == "jordan":
-        print(jordan_totient(args.s, factorize(args.n)))
+        _digit_budget(args.n, args.s, f"J_s(n) at n={args.n}, s={args.s}")
+        value = jordan_totient(args.s, factorize(args.n))
     elif args.what == "bernoulli":
-        print(rat_str(bernoulli_number(args.m)))
+        value = bernoulli_number(args.m)
     elif args.what == "gengcd":
-        print(gen_gcd(args.j, args.k, args.s))
+        value = gen_gcd(args.j, args.k, args.s)
     else:
-        print(theta(args.k, args.n, args.s))
+        value = theta(args.k, args.n, args.s)
+    try:
+        text = rat_str(value)
+    except ValueError:
+        # only the int-to-str digit limit makes rat_str raise
+        raise ResourceLimitError(
+            f"the {args.what} value passes {sys.get_int_max_str_digits()} decimal digits, "
+            "the int-to-str limit sys.get_int_max_str_digits()"
+        ) from None
+    print(text)
     return 0
 
 
@@ -195,6 +209,9 @@ def main(argv=None) -> int:
     except (ValueError, ResourceLimitError) as exc:
         print(f"ramsum: error: {exc}", file=sys.stderr)
         return 1
+    except InternalConsistencyError as exc:
+        print(f"ramsum: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

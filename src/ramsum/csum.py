@@ -3,7 +3,8 @@
 Three independent routes are provided.  The Moebius route sums d^s mu(k/d)
 over divisors d of the generalized gcd; the Hoelder route uses the closed
 form J_s(k) mu(k/e) / J_s(k/e); the direct route adds the k^s-th roots of
-unity over the s-coprime residues with compensated floating point.  Each
+unity over the s-coprime residues with compensated floating point, and
+answers a reused (k, s) from one real FFT of their indicator.  Each
 exact route memoizes only the gcd class it is asked for and shares no
 cached state with the other, so their agreement is an independent check.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +64,22 @@ def _period(k: int, s: int, cap: int, what: str) -> int:
     raise ResourceLimitError(f"k^s for k={k}, s={s} exceeds cap {cap} for {what}")
 
 
+def _digit_budget(base: int, s: int, what: str) -> None:
+    """ResourceLimitError once base^s would pass sys.get_int_max_str_digits()
+    decimal digits (a limit of 0 means none).
+
+    Judged from s*(bitlen(base)-1) alone, before base^s is built: base^s is at
+    least 2^that, which has more than that times log10(2) digits.
+    """
+    # Python 3.10 before 3.10.7 has no such limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 30102/100000 is log10(2) rounded down, so only a sure overrun is refused
+    if limit and s * (base.bit_length() - 1) * 30102 > limit * 100000:
+        raise ResourceLimitError(
+            f"{what} would pass {limit} decimal digits, the int-to-str limit sys.get_int_max_str_digits()"
+        )
+
+
 @lru_cache(maxsize=256)
 def _moebius_value(k: int, s: int, g: int) -> int:
     """c_k^(s)(j) for gen_gcd(j, k, s) = g: the sum of d^s mu(k/d) over the d | g."""
@@ -82,6 +100,7 @@ def _hoelder_value(k: int, s: int, e: int) -> int:
     m = moebius(cofactor)
     if m == 0:
         return 0
+    _digit_budget(k, s, f"J_s(k) in the Hoelder route at k={k}, s={s}")
     num = jordan_totient(s, factorize(k)) * m
     den = jordan_totient(s, cofactor)
     if num % den != 0:
@@ -95,17 +114,20 @@ def csum_hoelder(k: int, j: int, s: int = 1) -> int:
     return _hoelder_value(k, s, gen_gcd(j, k, s))
 
 
-@lru_cache(maxsize=8)
-def _trig_table(n: int):
-    """cos and sin of 2*pi*t/n for t in range(n), shared across j."""
-    t = np.arange(n, dtype=np.float64)
-    ang = (2.0 * np.pi / n) * t
-    return np.cos(ang), np.sin(ang)
+@dataclass(eq=False)
+class _DirectContext:
+    """One (k, s) of the direct route: its s-coprime residues and, once the
+    key is asked for a second time, the real half-spectrum of their indicator."""
+
+    residues: np.ndarray
+    cold: bool = True
+    spectrum: np.ndarray | None = None
 
 
 @lru_cache(maxsize=4)
-def _direct_context(k: int, s: int):
-    """Residues m in [1, k^s] with (m, k^s)_s = 1, as a numpy index array."""
+def _direct_context(k: int, s: int) -> _DirectContext:
+    """The residues m in [1, k^s] with (m, k^s)_s = 1, as a numpy index array,
+    in a fresh context with no spectrum yet."""
     fac = factorize(k)
     K = k**s
     keep = np.ones(K + 1, dtype=bool)
@@ -115,7 +137,7 @@ def _direct_context(k: int, s: int):
     m = np.nonzero(keep)[0].astype(np.int64)
     if len(m) != jordan_totient(s, fac):
         raise InternalConsistencyError(f"s-coprime residue count mismatch for k={k}, s={s}")
-    return m
+    return _DirectContext(m)
 
 
 def _block_fsum(arr: np.ndarray, block: int = 1024) -> float:
@@ -127,17 +149,47 @@ def _block_fsum(arr: np.ndarray, block: int = 1024) -> float:
     return math.fsum(partials.tolist())
 
 
-def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
-    """c_k^(s)(j) summed term by term over the unit circle.
+def _spectrum(k: int, s: int, K: int, residues: np.ndarray) -> np.ndarray:
+    """Real part of the rfft of the s-coprime indicator mod K, bins 0..K//2.
 
-    Costs J_s(k) table lookups; refuses once k^s exceeds cap rather than
-    silently truncating the range.
+    The residue set is closed under m -> -m, so c_k^(s) is real and even and
+    bin r holds c_k^(s)(r) = c_k^(s)(K - r).  Bin 0 must equal J_s(k) and
+    every imaginary part vanish to within the FFT's rounding bound
+    u log2(K) sqrt(K) ||x||_2 (Higham, ch. 24), with ||x||_2 = sqrt(J_s(k)).
+    """
+    x = np.zeros(K)
+    x[residues % K] = 1.0
+    X = np.fft.rfft(x)
+    J = len(residues)
+    bound = 2.0**-52 * math.log2(K) * math.sqrt(K) * math.sqrt(J)
+    err = max(abs(X[0] - J), float(np.abs(X.imag).max()))
+    if err > bound:
+        raise InternalConsistencyError(f"spectrum of k={k}, s={s} is off by {err:.3e}, past its bound {bound:.3e}")
+    spec = X.real.copy()
+    spec.flags.writeable = False
+    return spec
+
+
+def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
+    """c_k^(s)(j) summed over the unit circle.
+
+    The first call for a (k, s) adds its J_s(k) roots of unity term by term
+    with compensated summation.  A later call while the key is still cached
+    reads one bin of the real FFT spectrum of the s-coprime indicator, which
+    that call builds once; every call after it is one array read.  Refuses
+    once k^s exceeds cap rather than silently truncating the range.
     """
     K = _period(k, s, cap, "direct summation")
-    m = _direct_context(k, s)
-    cos_t, sin_t = _trig_table(K)
-    idx = (j % K) * m % K
-    return complex(_block_fsum(cos_t[idx]), _block_fsum(sin_t[idx]))
+    ctx = _direct_context(k, s)
+    r = j % K
+    if ctx.spectrum is None:
+        if ctx.cold:
+            ctx.cold = False
+            # the same angles, bit for bit, as a table of 2*pi*t/K over t < K
+            ang = (2.0 * np.pi / K) * (r * ctx.residues % K).astype(np.float64)
+            return complex(_block_fsum(np.cos(ang)), _block_fsum(np.sin(ang)))
+        ctx.spectrum = _spectrum(k, s, K, ctx.residues)
+    return complex(ctx.spectrum[min(r, K - r)])
 
 
 def csum_eval(k: int, j: int, s: int = 1, method: str = "moebius", cap: int = DEFAULT_CAP) -> CsumEvaluation:

@@ -16,13 +16,13 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .arith import divisors, euler_phi, factorize, jordan_totient, moebius_divisors, tau_sigma, von_mangoldt
-from .csum import DEFAULT_CAP, _block_fsum, _period, _trig_table, csum_moebius, csum_table, theta
+from .csum import DEFAULT_CAP, _block_fsum, _period, csum_moebius, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import bernoulli_number, bernoulli_tail, binomial, coprime_power_sum, power_sum, rat_str
 from .logspace import TWO_PI, LogLinear, float_value, log_factorial, mu_log_lemma_sides
@@ -278,6 +278,14 @@ def check_multisection(n: int, r: int, tol: float | None = None) -> CheckResult:
     rhs = 2.0**n / r * math.fsum(terms)
     residual = abs(rhs - float(lhs)) / max(1.0, float(lhs))
     return _result("multisection", {"n": n, "r": r}, lhs, rhs, residual, "float", residual <= tol)
+
+
+@lru_cache(maxsize=8)
+def _trig_table(n: int):
+    """cos and sin of 2*pi*t/n for t in range(n), shared by every exp-weight point of one period."""
+    t = np.arange(n, dtype=np.float64)
+    ang = (2.0 * np.pi / n) * t
+    return np.cos(ang), np.sin(ang)
 
 
 def check_exp_weight(k: int, s: int, n: int, cap: int = DEFAULT_SWEEP_CAP, tol: float | None = None) -> CheckResult:

@@ -7,9 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ramsum.cli import main
+from ramsum.errors import InternalConsistencyError
 
 
 def run_main(capsys, *argv):
@@ -117,6 +119,64 @@ class TestHugeExponent:
         assert time.perf_counter() - started < 5
         assert code == 0
         assert out.splitlines()[-1] == "summary pass=6 fail=0 findings=0"
+
+
+class TestDigitBudget:
+    """A value or intermediate past sys.get_int_max_str_digits() digits is
+    refused with a ResourceLimitError that names the limit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the Hoelder route would build J_s(6) before dividing it down to 1
+            ("eval", "csum", "--k", "6", "--j", "3", "--s", "3000000", "--method", "hoelder"),
+            # c_6^(s)(0) = J_s(6) itself
+            ("eval", "csum", "--k", "6", "--j", "0", "--s", "3000000"),
+            ("eval", "jordan", "--n", "6", "--s", "3000000"),
+            # under the up-front estimate, past the limit once built
+            ("eval", "csum", "--k", "6", "--j", "0", "--s", "6000"),
+        ],
+    )
+    def test_refused_by_name(self, capsys, argv):
+        started = time.perf_counter()
+        code, out, err = run_main(capsys, *argv)
+        assert time.perf_counter() - started < 1
+        assert code == 1 and out == ""
+        assert "sys.get_int_max_str_digits()" in err and "Exceeds the limit" not in err
+        assert err.count("\n") == 1
+
+    def test_value_under_the_limit_prints(self, capsys):
+        code, out, _ = run_main(capsys, "eval", "csum", "--k", "6", "--j", "0", "--s", "5000", "--method", "hoelder")
+        assert code == 0
+        assert int(out) == 6**5000 - 3**5000 - 2**5000 + 1
+
+
+class TestInternalError:
+    def test_spectrum_past_its_bound_is_exit_3(self, capsys, monkeypatch):
+        from ramsum import csum
+
+        rfft = np.fft.rfft
+
+        def perturbed(x):
+            X = rfft(x)
+            X[1] += 1e-6j
+            return X
+
+        csum._direct_context.cache_clear()
+        monkeypatch.setattr(np.fft, "rfft", perturbed)
+        try:
+            csum.csum_direct(97, 3)  # cold: summed term by term
+            with pytest.raises(InternalConsistencyError):
+                csum.csum_direct(97, 4)  # reused: builds the spectrum
+            argv = ("eval", "csum", "--k", "101", "--j", "5", "--method", "direct")
+            assert run_main(capsys, *argv)[0] == 0
+            code, out, err = run_main(capsys, *argv)
+        finally:
+            monkeypatch.undo()
+            csum._direct_context.cache_clear()
+        assert code == 3 and out == ""
+        assert err.startswith("ramsum: internal error: spectrum of k=101, s=1")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestTable:

@@ -8,11 +8,13 @@ library routes are then cross-checked against each other on larger ranges.
 import cmath
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ramsum import csum
 from ramsum.arith import divisors, factorize, gen_gcd, jordan_totient, moebius
 from ramsum.csum import (
     CsumEvaluation,
@@ -23,7 +25,7 @@ from ramsum.csum import (
     csum_table,
     theta,
 )
-from ramsum.errors import ResourceLimitError
+from ramsum.errors import InternalConsistencyError, ResourceLimitError
 
 
 def brute_mu(n):
@@ -130,6 +132,14 @@ class TestHoelderRoute:
     def test_agrees_with_moebius(self, k, j, s):
         assert csum_hoelder(k, j, s) == csum_moebius(k, j, s)
 
+    def test_digit_budget_refuses_before_building(self):
+        # J_s(6) would have about 2.3 million digits; the quotient is mu(6) = 1
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="get_int_max_str_digits"):
+            csum_hoelder(6, 3, 3_000_000)
+        assert time.perf_counter() - started < 1
+        assert csum_hoelder(6, 3, 5000) == csum_moebius(6, 3, 5000) == 1
+
     def test_example(self):
         assert csum_hoelder(12, 4, 1) == csum_moebius(12, 4, 1) == -2
         assert csum_hoelder(9, 3, 1) == csum_moebius(9, 3, 1) == -3
@@ -165,6 +175,80 @@ class TestDirectRoute:
     def test_eval_unknown_method(self):
         with pytest.raises(ValueError):
             csum_eval(6, 1, 1, method="magic")
+
+
+def fsum_oracle(k, j, s):
+    """c_k^(s)(j) summed term by term with math.fsum over the s-coprime
+    residues, one Python cos and sin per term."""
+    K = k**s
+    powers = [p**s for p, _ in factorize(k).factors]
+    r = j % K
+    angles = [2 * math.pi * (r * m % K) / K for m in range(1, K + 1) if all(m % q for q in powers)]
+    return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
+
+
+# k = 1, two prime periods (FFT sizes without small factors), 120^2 and 46^3
+SPECTRUM_PERIODS = [(1, 1), (97, 1), (101, 1), (120, 2), (46, 3)]
+DIRECT_TOL = 1e-8
+
+
+class TestDirectSpectrum:
+    """The first call for a (k, s) is summed term by term; later calls read
+    one real FFT spectrum.  Both must give every j of the period."""
+
+    @pytest.mark.parametrize("k, s", SPECTRUM_PERIODS)
+    def test_every_j_cold_and_spectrum(self, k, s):
+        K = k**s
+        rng = random.Random(K)
+        far = [-1, -K - 1, 2**64, 2**64 + 1, -(2**64) - 3, 3 * 2**70 - 1]
+        js = list(range(K)) + far
+        # one period of the Moebius route is the table, filled from its values
+        exact = csum_table(k, s).values + tuple(csum_moebius(k, j, s) for j in far)
+        # the cold call at every j of the small periods, at a sample of the large
+        cold = range(len(js)) if K <= 101 else [0, 1, K // 2, K - 1, *range(K, len(js))] + rng.sample(range(K), 20)
+        for i in cold:
+            csum._direct_context.cache_clear()
+            z = csum_direct(k, js[i], s)
+            assert csum._direct_context(k, s).spectrum is None
+            assert abs(z - exact[i]) < DIRECT_TOL, (k, s, js[i])
+        for i, j in enumerate(js):
+            z = csum_direct(k, j, s)
+            assert z.imag == 0.0
+            assert abs(z.real - exact[i]) < DIRECT_TOL, (k, s, j)
+        assert csum._direct_context(k, s).spectrum is not None
+        # the oracle sums in pure Python, one math.cos and math.sin per term
+        for j in ([*js[:K], *far] if K <= 101 else [0, 1, K - 1, *far[:2]]):
+            assert abs(fsum_oracle(k, j, s) - csum_moebius(k, j, s)) < DIRECT_TOL, (k, s, j)
+
+    def test_spectrum_is_built_on_the_second_call(self):
+        csum._direct_context.cache_clear()
+        csum_direct(30, 7, 2)
+        ctx = csum._direct_context(30, 2)
+        assert ctx.spectrum is None
+        csum_direct(30, 8, 2)
+        assert ctx.spectrum is not None
+        assert ctx.spectrum.shape == (900 // 2 + 1,) and not ctx.spectrum.flags.writeable
+        built = ctx.spectrum
+        csum_direct(30, 9, 2)
+        assert ctx.spectrum is built
+
+    def test_perturbed_spectrum_is_refused(self, monkeypatch):
+        rfft = np.fft.rfft
+
+        def perturbed(x):
+            X = rfft(x)
+            X[0] += 1e-6
+            return X
+
+        csum._direct_context.cache_clear()
+        monkeypatch.setattr(np.fft, "rfft", perturbed)
+        try:
+            csum_direct(120, 1, 2)
+            with pytest.raises(InternalConsistencyError, match="past its bound"):
+                csum_direct(120, 2, 2)
+        finally:
+            monkeypatch.undo()
+            csum._direct_context.cache_clear()
 
 
 class TestTable:
