@@ -213,15 +213,19 @@ def tau_sigma(fac: Factorization) -> tuple[int, int]:
 
 def _gen_gcd_factors(j: int, factors: tuple[tuple[int, int], ...], s: int) -> int:
     # largest d built prime-by-prime: p may enter d with exponent a only if
-    # p^(a*s) divides j, and a is capped by p's exponent in k
+    # p^(a*s) divides j, and a is capped by p's exponent in k; p^s is
+    # stripped whole, so a huge j costs at most e divisions per prime
     g = 1
     for p, e in factors:
-        cap = e * s
-        m, v = j, 0
-        while v < cap and m % p == 0:
-            m //= p
-            v += 1
-        g *= p ** (v // s)
+        # p^s >= 2^(s*(bitlen(p)-1)) > j there, so a huge s never builds p^s
+        if j % p or s * (p.bit_length() - 1) >= j.bit_length():
+            continue
+        q = p**s
+        a = 0
+        while a < e and j % q == 0:
+            j //= q
+            a += 1
+        g *= p**a
     return g
 
 

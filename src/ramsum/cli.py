@@ -15,7 +15,7 @@ import sys
 from .arith import configure_default_sieve, factorize, gen_gcd, jordan_totient
 from .csum import DEFAULT_CAP, _digit_budget, csum_eval, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
-from .exactnum import bernoulli_number, rat_str
+from .exactnum import _bernoulli_budget, bernoulli_number, rat_str
 from .identities import ALL_IDENTITIES, DEFAULT_SWEEP_CAP, SuiteConfig, render_report, run_suite
 
 
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, None)
 
     p = ev.add_parser("bernoulli", help="Bernoulli number B_m")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
 
     p = ev.add_parser("gengcd", help="generalized gcd (j, k^s)_s")
     p.add_argument("--j", type=int, required=True)
@@ -133,8 +133,8 @@ def _parse_ks(text: str) -> tuple:
 
 
 def _cmd_eval(args) -> int:
-    # csum and jordan refuse a value past the int-to-str digit limit before
-    # building it; c_k^(s)(j) is about e^s for its gcd class e = gen_gcd(j, k, s)
+    # csum, jordan and bernoulli refuse a value past the int-to-str digit limit
+    # before building it; c_k^(s)(j) is about e^s for its gcd class e = gen_gcd(j, k, s)
     if args.what == "csum":
         _digit_budget(gen_gcd(args.j, args.k, args.s), args.s, f"c_k^(s)(j) at k={args.k}, s={args.s}")
         value = csum_eval(args.k, args.j, args.s, method=args.method, cap=args.cap).value
@@ -142,6 +142,7 @@ def _cmd_eval(args) -> int:
         _digit_budget(args.n, args.s, f"J_s(n) at n={args.n}, s={args.s}")
         value = jordan_totient(args.s, factorize(args.n))
     elif args.what == "bernoulli":
+        _bernoulli_budget(args.m)
         value = bernoulli_number(args.m)
     elif args.what == "gengcd":
         value = gen_gcd(args.j, args.k, args.s)

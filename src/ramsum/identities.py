@@ -18,11 +18,12 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .arith import divisors, euler_phi, factorize, jordan_totient, moebius_divisors, tau_sigma, von_mangoldt
-from .csum import DEFAULT_CAP, _block_fsum, _period, csum_moebius, csum_table, theta
+from .csum import DEFAULT_CAP, CsumTable, _period, csum_moebius, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import bernoulli_number, bernoulli_tail, binomial, coprime_power_sum, power_sum, rat_str
 from .logspace import TWO_PI, LogLinear, float_value, log_factorial, mu_log_lemma_sides
@@ -280,24 +281,23 @@ def check_multisection(n: int, r: int, tol: float | None = None) -> CheckResult:
     return _result("multisection", {"n": n, "r": r}, lhs, rhs, residual, "float", residual <= tol)
 
 
-@lru_cache(maxsize=8)
-def _trig_table(n: int):
-    """cos and sin of 2*pi*t/n for t in range(n), shared by every exp-weight point of one period."""
-    t = np.arange(n, dtype=np.float64)
-    ang = (2.0 * np.pi / n) * t
-    return np.cos(ang), np.sin(ang)
+@lru_cache(maxsize=2)
+def _exp_spectrum(table: CsumTable) -> np.ndarray:
+    """X[n] = (1/K) sum_{j<K} c_k^(s)(j) e(jn/K) for n < K = k^s: numpy's inverse
+    FFT of one period table, read-only and shared by every exp-weight point of it."""
+    spec = np.fft.ifft(table.array)
+    spec.flags.writeable = False
+    return spec
 
 
 def check_exp_weight(k: int, s: int, n: int, cap: int = DEFAULT_SWEEP_CAP, tol: float | None = None) -> CheckResult:
-    """(1/k^s) sum_j e(jn/k^s) c_k^(s)(j) against the indicator theta_k^(s)(n)."""
+    """(1/k^s) sum_j e(jn/k^s) c_k^(s)(j), read at bin n mod k^s of one
+    inverse FFT of the period, against the indicator theta_k^(s)(n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     K = _period(k, s, cap, "the exponential-weight sum")
     tol = COSINE_TOL if tol is None else tol
-    vals = csum_table(k, s, cap).array
-    cos_t, sin_t = _trig_table(K)
-    idx = (n % K) * np.arange(K, dtype=np.int64) % K
-    lhs = complex(_block_fsum(cos_t[idx] * vals) / K, _block_fsum(sin_t[idx] * vals) / K)
+    lhs = complex(_exp_spectrum(csum_table(k, s, cap))[n % K])
     rhs = theta(k, n, s)
     residual = max(abs(lhs.real - rhs), abs(lhs.imag))
     params = {"k": k, "n": n, "s": s}
@@ -689,6 +689,67 @@ def _result_row(r: CheckResult) -> dict:
     }
 
 
+def _json_value(v, pad: str) -> str:
+    """v as json.dumps(v, sort_keys=True, indent=2) writes it on a line indented by pad."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == math.inf:
+            return "Infinity"
+        if v == -math.inf:
+            return "-Infinity"
+        return float.__repr__(v)
+    inner = pad + "  "
+    if isinstance(v, (list, tuple)):
+        items = [_json_value(x, inner) for x in v]
+        brackets = "[]"
+    elif isinstance(v, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_value(x, inner)}" for key, x in sorted(v.items())]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+# one JSON result row, its keys in sorted order, as json.dumps(indent=2) lays it out
+_JSON_ROW = """    {{
+      "classification": {},
+      "identity": {},
+      "lhs": {},
+      "mode": {},
+      "params": {},
+      "pass": {},
+      "residual": {},
+      "rhs": {}
+    }}"""
+
+
+def _json_row(r: CheckResult) -> str:
+    pad = "      "
+    return _JSON_ROW.format(
+        encode_basestring_ascii(r.classification),
+        encode_basestring_ascii(r.identity),
+        _json_value(_render_exact(r.lhs), pad),
+        encode_basestring_ascii(r.mode),
+        _json_value(r.params, pad),
+        _json_value(r.passed, pad),
+        _json_value(r.residual, pad),
+        _json_value(_render_exact(r.rhs), pad),
+    )
+
+
 def _cells(r: CheckResult) -> dict:
     """Text of every report column for one result, shared by csv and human."""
     row = _result_row(r)
@@ -704,12 +765,12 @@ def render_report(report: IdentityReport, fmt: str = "human") -> str:
     """Serialize a report; bytes depend only on the config and the results."""
     summary = {"pass": report.passed, "fail": report.failed, "findings": report.findings}
     if fmt == "json":
-        doc = {
-            "suite": report.suite,
-            "results": [_result_row(r) for r in report.results],
-            "summary": summary,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # the same bytes as json.dumps(doc, sort_keys=True, indent=2) with the
+        # rows from _result_row: "results" sorts before "suite" and "summary"
+        rows = ",\n".join(map(_json_row, report.results))
+        results = f'"results": [\n{rows}\n  ]' if rows else '"results": []'
+        tail = json.dumps({"suite": report.suite, "summary": summary}, sort_keys=True, indent=2)
+        return "{\n  " + results + ",\n" + tail[2:] + "\n"
     if fmt == "csv":
         import csv as _csv
         import io

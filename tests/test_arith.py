@@ -6,6 +6,7 @@ so a shared bug in the library cannot hide itself.
 """
 
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -230,6 +231,22 @@ class TestGenGcd:
         assert gen_gcd(9, 6, 2) == 3
         assert gen_gcd(5, 6, 2) == 1
         assert gen_gcd(36, 6, 2) == 6
+
+    @pytest.mark.parametrize(
+        ("e2", "e3", "k", "s", "expect"),
+        [
+            # 2^s | j but 2^(2s) does not
+            (100000, 0, 8, 100000, 2),
+            (300000, 0, 8, 100000, 8),
+            # 3 | j but 3^s does not
+            (200000, 40000, 24, 100000, 4),
+        ],
+    )
+    def test_huge_j_in_bounded_time(self, e2, e3, k, s, expect):
+        j = 3**e3 << e2
+        started = time.perf_counter()
+        assert gen_gcd(j, k, s) == expect
+        assert time.perf_counter() - started < 0.5
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -151,6 +151,34 @@ class TestDigitBudget:
         assert int(out) == 6**5000 - 3**5000 - 2**5000 + 1
 
 
+class TestBernoulliBudget:
+    """eval bernoulli refuses, before computing anything, an m whose
+    recurrence would build a numerator past the int-to-str digit limit."""
+
+    @pytest.mark.parametrize("m", ["3000", "3001", "1" + "0" * 400])
+    def test_refused_before_computing(self, capsys, monkeypatch, m):
+        from ramsum import cli
+
+        def never(m):
+            raise AssertionError("B_m was computed")
+
+        monkeypatch.setattr(cli, "bernoulli_number", never)
+        started = time.perf_counter()
+        code, out, err = run_main(capsys, "eval", "bernoulli", "--m", m)
+        assert time.perf_counter() - started < 1
+        assert code == 1 and out == ""
+        assert f"{sys.get_int_max_str_digits()} decimal digits" in err
+        assert "sys.get_int_max_str_digits()" in err
+        assert err.count("\n") == 1
+
+    def test_negative_m_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "bernoulli", "--m", "-1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--m" in err and "at least 0" in err and "Traceback" not in err
+
+
 class TestInternalError:
     def test_spectrum_past_its_bound_is_exit_3(self, capsys, monkeypatch):
         from ramsum import csum

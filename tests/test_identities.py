@@ -7,18 +7,20 @@ so the checkers are exercised against numbers they did not produce.
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ramsum.arith import euler_phi, factorize, jordan_totient
-from ramsum.csum import csum_moebius
+from ramsum.csum import csum_moebius, csum_table
 from ramsum.errors import ResourceLimitError
 from ramsum.exactnum import bernoulli_number
 from ramsum.identities import (
     ALL_IDENTITIES,
     CheckResult,
+    IdentityReport,
     SuiteConfig,
     WeightFunctionSpec,
     build_grid,
@@ -44,6 +46,8 @@ from ramsum.identities import (
     resolve_identities,
     run_suite,
     weight_value,
+    _exp_spectrum,
+    _result_row,
 )
 from ramsum.logspace import LogLinear
 
@@ -318,6 +322,42 @@ class TestExpWeight:
         assert out.rhs in (0, 1)
 
 
+class TestExpWeightSpectrum:
+    """The exp-weight left side, read from one inverse FFT per period, against
+    a term-by-term math.fsum of (1/K) sum_j c(j) e(jn/K)."""
+
+    @staticmethod
+    def fsum_oracle(k, s, n):
+        K = k**s
+        re, im = [], []
+        for j, c in enumerate(csum_table(k, s).array.tolist()):
+            if c:
+                angle = 2 * math.pi * (j * n % K) / K
+                re.append(c * math.cos(angle))
+                im.append(c * math.sin(angle))
+        return complex(math.fsum(re) / K, math.fsum(im) / K)
+
+    # K = 1, 97, 144, 27000 and 97336, the last near the sweep cap of 1e5
+    @pytest.mark.parametrize(("k", "s"), [(1, 1), (97, 1), (12, 2), (30, 3), (46, 3)])
+    def test_matches_fsum_oracle(self, k, s):
+        K = k**s
+        rng = random.Random(k * 10 + s)
+        for n in [0, 1, K - 1, K, 2 * K + 1] + [rng.randrange(3 * K) for _ in range(3)]:
+            out = check_exp_weight(k, s, n)
+            assert abs(out.lhs - self.fsum_oracle(k, s, n)) <= 1e-12, (k, s, n)
+            assert out.passed, (k, s, n)
+
+    def test_one_read_only_spectrum_per_table(self):
+        check_exp_weight(12, 2, 5)
+        spec = _exp_spectrum(csum_table(12, 2))
+        assert spec.shape == (144,) and not spec.flags.writeable
+        with pytest.raises(ValueError):
+            spec[0] = 0
+        hits = _exp_spectrum.cache_info().hits
+        check_exp_weight(12, 2, 7)
+        assert _exp_spectrum.cache_info().hits == hits + 1
+
+
 class TestMuLogLemma:
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=4))
     def test_holds_on_grid(self, k, s):
@@ -518,3 +558,48 @@ class TestSuiteRunner:
         assert build_grid(cfg) != build_grid(other)
         report = run_suite(cfg)
         assert report.passed == 10
+
+
+class TestJsonTemplate:
+    """render_report(fmt="json") writes its rows from one template; json.dumps
+    of the _result_row document is the oracle for its bytes."""
+
+    @staticmethod
+    def oracle(report):
+        doc = {
+            "suite": report.suite,
+            "results": [_result_row(r) for r in report.results],
+            "summary": {"pass": report.passed, "fail": report.failed, "findings": report.findings},
+        }
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    SUITE = {"identities": ["alkan", "exp-weight"], "k_max": None, "seed": 91, "tolerance": 1e-08, "cap": 100000}
+
+    def test_hand_built_rows(self):
+        results = [
+            CheckResult("power-sum", {"N": 3, "r": 2}, 14, 14, 0.0, "exact", True, "verified"),
+            CheckResult("alkan", {"k": 6, "r": 3, "s": 2}, Fraction(-7, 12), Fraction(5), 1.25, "exact", False, "x"),
+            CheckResult("log-weight", {"k": 4, "s": 2}, LogLinear({2: Fraction(1, 2), 3: -1}), LogLinear(),
+                        math.inf, "exact", False, "finding-mismatch"),
+            CheckResult("exp-weight", {"k": 4, "n": 2, "s": 1}, complex(1e-17, -2.5e-300), 0, math.nan,
+                        "float", False, "finding-mismatch"),
+            CheckResult("gamma-weight", {"k": 2, "s": 1}, -0.0, 1e22, -math.inf, "float", True, "numerical-pass"),
+            CheckResult("multisection", {"n": 3, "r": 2}, 4, 4.000000000000001, 2.2e-16, "float", True, "x"),
+            CheckResult("multivariate", {"ks": [2, 3, 12], "r": 1, "s": 2}, Fraction(1, 3), Fraction(1, 3), 0.0,
+                        "exact", True, "verified"),
+            CheckResult("g-multiplicative", {"ks": [5], "ks2": [], "m": 0, "s": 1}, 1, 1, 0.0, "exact", True, "v"),
+            CheckResult("gcd-weight", {"k": 2, "s": 1, "weight": "jordan:2"}, 3, 3, 0.0, "exact", True, "verified"),
+            CheckResult("gcd-weight", {"k": 2, "s": 1, "weight": "\u00e9\u2603\U0001f600 \"\\\t"}, 3, 3, 0.0,
+                        "exact", True, "verified"),
+            CheckResult("gauss-product", {}, 1.5, 1e-05, 1e16, "float", True, "numerical-pass"),
+        ]
+        report = IdentityReport(dict(self.SUITE, note="caf\u00e9"), results, 7, 2, 2)
+        assert render_report(report, "json") == self.oracle(report)
+
+    def test_empty_result_list(self):
+        report = IdentityReport(dict(self.SUITE), [], 0, 0, 0)
+        assert render_report(report, "json") == self.oracle(report)
+
+    def test_default_grid(self):
+        report = run_suite(SuiteConfig())
+        assert render_report(report, "json") == self.oracle(report)
