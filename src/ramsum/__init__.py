@@ -4,8 +4,6 @@ from .arith import (
     Factorization,
     PrimeSieve,
     configure_default_sieve,
-    default_sieve,
-    dirichlet_convolve,
     divisors,
     euler_phi,
     factorize,

@@ -78,18 +78,8 @@ _default_sieve: PrimeSieve | None = None
 _sieve_lock = threading.Lock()
 
 
-def default_sieve() -> PrimeSieve:
-    """Shared sieve, built lazily at DEFAULT_SIEVE_LIMIT unless configured."""
-    global _default_sieve
-    if _default_sieve is None:
-        with _sieve_lock:
-            if _default_sieve is None:
-                _default_sieve = PrimeSieve(DEFAULT_SIEVE_LIMIT)
-    return _default_sieve
-
-
 def configure_default_sieve(limit: int) -> PrimeSieve:
-    """Replace the shared sieve (used by the CLI's --sieve-limit flag)."""
+    """Replace the shared sieve that factorize reads."""
     global _default_sieve
     with _sieve_lock:
         _default_sieve = PrimeSieve(limit)
@@ -121,14 +111,23 @@ def _trial_factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def factorize(n: int, sieve: PrimeSieve | None = None) -> Factorization:
-    """Factor a positive integer, preferring the sieve when n is in range."""
+def factorize(n: int) -> Factorization:
+    """Factor a positive integer, preferring the shared sieve when n is in range.
+
+    The first call builds that sieve at DEFAULT_SIEVE_LIMIT unless
+    configure_default_sieve already set one.
+    """
+    global _default_sieve
     if n < 1:
         raise ValueError(f"cannot factor n={n}, need n >= 1")
     if n == 1:
         return Factorization(1, ())
+    sieve = _default_sieve
     if sieve is None:
-        sieve = default_sieve()
+        with _sieve_lock:
+            if _default_sieve is None:
+                _default_sieve = PrimeSieve(DEFAULT_SIEVE_LIMIT)
+            sieve = _default_sieve
     if n <= sieve.limit:
         return sieve.factorize(n)
     return _trial_factorize(n)
@@ -247,21 +246,3 @@ def gen_gcd(j: int, k: int, s: int = 1) -> int:
         return gcd(j, k)
     return _gen_gcd_factors(j, factorize(k).factors, s)
 
-
-def dirichlet_convolve(f_table, g_table, n: int):
-    """(f * g)(n) = sum_{d|n} f(d) g(n/d) from explicit value tables.
-
-    Tables are mappings from divisor to value; values only need + and *
-    (ints, Fractions, and LogLinear vectors all work).  A missing divisor
-    entry is a domain error.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = None
-    for d in divisors(factorize(n)):
-        try:
-            term = f_table[d] * g_table[n // d]
-        except KeyError:
-            raise ValueError(f"missing divisor value for n={n}: need f({d}) and g({n // d})") from None
-        total = term if total is None else total + term
-    return total

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .arith import configure_default_sieve, factorize, gen_gcd, jordan_totient
+from .arith import factorize, gen_gcd, jordan_totient
 from .csum import DEFAULT_CAP, _digit_budget, csum_eval, csum_table, theta
-from .errors import InternalConsistencyError, ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
 from .exactnum import _bernoulli_budget, bernoulli_number, rat_str
 from .identities import ALL_IDENTITIES, DEFAULT_SWEEP_CAP, SuiteConfig, render_report, run_suite
 
@@ -44,15 +45,15 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser, default_cap: int | None) -> None:
-    """--sieve-limit, and --cap unless default_cap is None (commands that build no period)."""
-    if default_cap is not None:
-        parser.add_argument(
-            "--cap", type=_int_at_least(1), default=default_cap, help="largest k^s any evaluation may touch"
-        )
-    parser.add_argument(
-        "--sieve-limit", type=_int_at_least(2), default=None, help="rebuild the shared factorization sieve"
-    )
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite float no smaller than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite float at least 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,12 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--method", choices=("moebius", "hoelder", "direct"), default="moebius")
-    _add_common(p, DEFAULT_CAP)
+    p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_CAP, help="largest k^s any evaluation may touch")
 
     p = ev.add_parser("jordan", help="Jordan totient J_s(n)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
-    _add_common(p, None)
 
     p = ev.add_parser("bernoulli", help="Bernoulli number B_m")
     p.add_argument("--m", type=_int_at_least(0), required=True)
@@ -81,23 +81,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
-    _add_common(p, None)
 
     p = ev.add_parser("theta", help="indicator theta_k^(s)(n)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
-    _add_common(p, None)
 
     p = sub.add_parser("table", help="one full period of c_k^(s)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p, DEFAULT_CAP)
+    p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_CAP, help="largest k^s any evaluation may touch")
 
     p = sub.add_parser("verify", help="sweep identity checks over a parameter grid")
     p.add_argument("identity", choices=ALL_IDENTITIES + ("all",))
-    p.add_argument("--k-min", type=int, default=1)
+    p.add_argument("--k-min", type=_int_at_least(1), default=1)
     p.add_argument("--k-max", type=_int_at_least(1), default=None)
     p.add_argument("--s", type=_int_at_least(1), default=None, help="fix s (overrides --s-max)")
     p.add_argument("--s-max", type=_int_at_least(1), default=None)
@@ -110,9 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=91)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    p.add_argument("--tol", type=float, default=None, help="override floating tolerances")
+    p.add_argument("--tol", type=_tolerance, default=None, help="override floating tolerances")
     p.add_argument("--strict-findings", action="store_true", help="treat findings as failures")
-    _add_common(p, DEFAULT_SWEEP_CAP)
+    p.add_argument(
+        "--cap", type=_int_at_least(1), default=DEFAULT_SWEEP_CAP, help="largest k^s any evaluation may touch"
+    )
 
     return parser
 
@@ -151,11 +151,9 @@ def _cmd_eval(args) -> int:
     try:
         text = rat_str(value)
     except ValueError:
-        # only the int-to-str digit limit makes rat_str raise
-        raise ResourceLimitError(
-            f"the {args.what} value passes {sys.get_int_max_str_digits()} decimal digits, "
-            "the int-to-str limit sys.get_int_max_str_digits()"
-        ) from None
+        # only the int-to-str digit limit makes rat_str raise, so one is set
+        _refuse_past_digit_limit(f"the {args.what} value passes")
+        raise
     print(text)
     return 0
 
@@ -200,8 +198,6 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "sieve_limit", None) is not None:
-            configure_default_sieve(args.sieve_limit)
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "table":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import divisors, factorize, gen_gcd, jordan_totient, moebius, moebius_divisors
-from .errors import InternalConsistencyError, ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
 
 DEFAULT_CAP = 1_000_000
 
@@ -71,13 +70,9 @@ def _digit_budget(base: int, s: int, what: str) -> None:
     Judged from s*(bitlen(base)-1) alone, before base^s is built: base^s is at
     least 2^that, which has more than that times log10(2) digits.
     """
-    # Python 3.10 before 3.10.7 has no such limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # 30102/100000 is log10(2) rounded down, so only a sure overrun is refused
-    if limit and s * (base.bit_length() - 1) * 30102 > limit * 100000:
-        raise ResourceLimitError(
-            f"{what} would pass {limit} decimal digits, the int-to-str limit sys.get_int_max_str_digits()"
-        )
+    bits = s * (base.bit_length() - 1)
+    _refuse_past_digit_limit(f"{what} would pass", lambda limit: bits * 30102 > limit * 100000)
 
 
 @lru_cache(maxsize=256)

@@ -7,13 +7,12 @@ that promise integers (power sums) check integrality before returning.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from fractions import Fraction
 from math import comb, prod
 
 from .arith import factorize
-from .errors import InternalConsistencyError, ResourceLimitError
+from .errors import InternalConsistencyError, _refuse_past_digit_limit
 
 def rat_str(q) -> str:
     """Canonical string for a rational: "p/q" in lowest terms, "p" for integers."""
@@ -62,18 +61,14 @@ def _bernoulli_budget(m: int) -> None:
     log10(12 n! / (2 pi)^n) digits; only a bound a whole digit past the limit
     is refused, so float rounding never refuses a printable value.
     """
-    # Python 3.10 before 3.10.7 has no such limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # past 2^60 the bound passes any limit; capping n keeps lgamma's argument a float
     n = min(m - m % 2, 1 << 60)
-    if not limit or n < 2:
+    if n < 2:
         return
     digits = math.log10(12) + (math.lgamma(n + 1) - n * math.log(2 * math.pi)) / math.log(10)
-    if digits > limit + 1:
-        raise ResourceLimitError(
-            f"the Bernoulli recurrence up to B_{m} would build a numerator past {limit} decimal digits, "
-            "the int-to-str limit sys.get_int_max_str_digits()"
-        )
+    _refuse_past_digit_limit(
+        f"the Bernoulli recurrence up to B_{m} would build a numerator past", lambda limit: digits > limit + 1
+    )
 
 
 def bernoulli_poly(m: int, x) -> Fraction:

@@ -23,12 +23,17 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .arith import divisors, euler_phi, factorize, jordan_totient, moebius_divisors, tau_sigma, von_mangoldt
-from .csum import DEFAULT_CAP, CsumTable, _period, csum_moebius, csum_table, theta
+from .csum import CsumTable, _period, csum_moebius, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import bernoulli_number, bernoulli_tail, binomial, coprime_power_sum, power_sum, rat_str
 from .logspace import TWO_PI, LogLinear, float_value, log_factorial, mu_log_lemma_sides
 
 DEFAULT_SWEEP_CAP = 100_000
+# hard ceilings of three checks, read by their grids too: binomial-weight k^s,
+# multisection n and gauss-product N
+_BINOMIAL_CAP = 256
+_MULTISECTION_N_MAX = 256
+_GAUSS_N_MAX = 500
 DEFAULT_FLOAT_TOL = 1e-8
 GAUSS_TOL = 1e-9
 COSINE_TOL = 1e-9
@@ -208,8 +213,8 @@ def check_gamma_weight(k: int, s: int, cap: int = DEFAULT_SWEEP_CAP, tol: float 
 
 def check_gauss_product(N: int, tol: float | None = None) -> CheckResult:
     """sum_{j<=N} logGamma(j/N) against ((N-1)/2) log(2 pi) - (1/2) log N."""
-    if not 1 <= N <= 500:
-        raise ValueError("N must be in [1, 500]")
+    if not 1 <= N <= _GAUSS_N_MAX:
+        raise ValueError(f"N must be in [1, {_GAUSS_N_MAX}]")
     tol = GAUSS_TOL if tol is None else tol
     lhs = math.fsum(math.lgamma(j / N) for j in range(1, N + 1))
     rhs = (N - 1) / 2 * math.log(math.tau) - 0.5 * math.log(N)
@@ -242,9 +247,9 @@ def check_bernoulli_weight(k: int, s: int, m: int, cap: int = DEFAULT_SWEEP_CAP)
 def check_binomial_weight(k: int, s: int, tol: float | None = None) -> CheckResult:
     """sum_{j=0..k^s} C(k^s, j) c_k^(s)(j), exactly via series multisection and
     in floating point via the signed cosine-power form."""
-    K = _period(k, s, 256, "the binomial-weight sum, whose binomials grow as 2^(k^s)")
+    K = _period(k, s, _BINOMIAL_CAP, "the binomial-weight sum, whose binomials grow as 2^(k^s)")
     tol = COSINE_TOL if tol is None else tol
-    vals = csum_table(k, s, DEFAULT_CAP).array.tolist()
+    vals = csum_table(k, s, _BINOMIAL_CAP).array.tolist()
     lhs = sum(binomial(K, j) * vals[j % K] for j in range(K + 1))
     rhs_exact = 0
     outer = []
@@ -267,8 +272,8 @@ def check_multisection(n: int, r: int, tol: float | None = None) -> CheckResult:
     """sum_m C(n, mr) against (2^n/r) sum_l cos^n(l pi/r) cos(n l pi/r)."""
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    if n > 256:
-        raise ResourceLimitError(f"n = {n} exceeds 256 for the multisection check")
+    if n > _MULTISECTION_N_MAX:
+        raise ResourceLimitError(f"n = {n} exceeds {_MULTISECTION_N_MAX} for the multisection check")
     tol = COSINE_TOL if tol is None else tol
     lhs = sum(binomial(n, m * r) for m in range(n // r + 1))
     terms = []
@@ -499,7 +504,7 @@ def _grid_gamma_weight(cfg):
 
 
 def _grid_gauss_product(cfg):
-    return [{"N": n} for n in range(1, min(_nmax(cfg, 100), 500) + 1)]
+    return [{"N": n} for n in range(1, min(_nmax(cfg, 100), _GAUSS_N_MAX) + 1)]
 
 
 def _grid_bernoulli_weight(cfg):
@@ -507,13 +512,13 @@ def _grid_bernoulli_weight(cfg):
 
 
 def _grid_binomial_weight(cfg):
-    # default sweep stays at k^s <= 64; explicit ranges may reach the hard 256
-    hard = 64 if cfg.k_max is None and cfg.s is None and cfg.s_max is None else 256
+    # default sweep stays at k^s <= 64; explicit ranges may reach the hard cap
+    hard = 64 if cfg.k_max is None and cfg.s is None and cfg.s_max is None else _BINOMIAL_CAP
     return [{"k": k, "s": s} for k, s, _ in _capped_ks(cfg, 64, s_default=6, cap=min(hard, cfg.cap))]
 
 
 def _grid_multisection(cfg):
-    nmax = min(_nmax(cfg, 40), 256)
+    nmax = min(_nmax(cfg, 40), _MULTISECTION_N_MAX)
     rmax = cfg.r_max if cfg.r_max is not None else 8
     return [{"n": n, "r": r} for n in range(1, nmax + 1) for r in range(1, min(n, rmax) + 1)]
 

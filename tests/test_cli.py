@@ -349,17 +349,20 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("eval", "csum", "--k", "6", "--j", "3", "--sieve-limit", "-5"),
-            ("eval", "csum", "--k", "6", "--j", "3", "--sieve-limit", "0"),
+            ("eval", "csum", "--k", "6", "--j", "3", "--sieve-limit", "1000"),
+            ("verify", "all", "--sieve-limit", "1000"),
             ("eval", "jordan", "--n", "6", "--cap", "10"),
         ],
     )
     def test_rejected_flag_values(self, capsys, argv):
-        # a sieve limit below 2 and --cap on a command without a period are usage errors
+        # a flag the command does not take is a usage error: --sieve-limit on
+        # any command, --cap on a command without a period
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
+        err = capsys.readouterr().err
         assert exc.value.code == 1
-        assert "Traceback" not in capsys.readouterr().err
+        assert err.count("usage:") == 1
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -376,6 +379,11 @@ class TestUsageErrors:
         ("--tuples", "-1"),
         ("--cap", "0"),
         ("--cap", "-1"),
+        ("--k-min", "0"),
+        ("--k-min", "-5"),
+        ("--tol", "-1"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
     ],
 )
 def test_verify_rejects_out_of_range_ints(capsys, flag, value):
@@ -386,14 +394,6 @@ def test_verify_rejects_out_of_range_ints(capsys, flag, value):
     assert exc.value.code == 1
     assert "Traceback" not in err
     assert f"argument {flag}:" in err
-
-
-def test_full_verification_script_rejects_s_max_0():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_full_verification.py"
-    out = subprocess.run([sys.executable, str(script), "--s-max", "0"], capture_output=True, text=True)
-    assert out.returncode == 2
-    assert "Traceback" not in out.stderr
-    assert "argument --s-max:" in out.stderr
 
 
 def test_census_script_rejects_s_max_1(tmp_path):
