@@ -196,7 +196,11 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.k_max is not None and args.k_min > args.k_max:
+        # an empty k range would drop every k-indexed point and pass silently
+        parser.error(f"argument --k-min: must be at most --k-max, got --k-min {args.k_min} --k-max {args.k_max}")
     try:
         if args.command == "eval":
             return _cmd_eval(args)

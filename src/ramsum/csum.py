@@ -12,7 +12,6 @@ cached state with the other, so their agreement is an independent check.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -229,13 +228,12 @@ class CsumTable:
         """The literal moments M_t = sum_{0<=j<k^s} j^t c_k^(s)(j) for t = 0..n, as ints.
 
         Each order not yet cached for this table costs one multiply-by-j
-        sweep over its nonzero entries.
+        sweep over its nonzero entries in every modulus, and a CRT lift.
         """
-        js, powers, moments = _moment_state(self)
-        while len(moments) <= n:
-            powers[:] = map(operator.mul, powers, js)
-            moments.append(sum(powers))
-        return moments[: n + 1]
+        state = _moment_state(self)
+        while len(state.moments) <= n:
+            state.extend()
+        return state.moments[: n + 1]
 
 
 @lru_cache(maxsize=8)
@@ -248,14 +246,92 @@ def _table(k: int, s: int) -> CsumTable:
     return CsumTable(k, s, arr)
 
 
+@lru_cache(maxsize=None)
+def _prime_below(n: int) -> int:
+    """The largest prime below n, for 67 < n <= 2^32.
+
+    Miller-Rabin to the bases 2, 7 and 61 has no false positive below
+    4759123141 (Jaeschke 1993), so the answer is exact.
+    """
+    p = (n - 2) | 1
+    while True:
+        d, r = p - 1, 0
+        while d % 2 == 0:
+            d, r = d // 2, r + 1
+        for a in (2, 7, 61):
+            x = pow(a, d, p)
+            if x == 1 or x == p - 1:
+                continue
+            for _ in range(r - 1):
+                x = x * x % p
+                if x == p - 1:
+                    break
+            else:
+                break  # a witnesses that p is composite
+        else:
+            return p
+        p -= 2
+
+
+class _MomentState:
+    """The moments of one table, exact from residues: j^t c(j) over the j
+    with c(j) != 0 is kept modulo 2^64 (uint64 wrap-around) and modulo
+    primes below 2^31, and each M_t is lifted to a signed int by the CRT.
+
+    |M_t| <= (K-1)^t n max|c| over the n nonzero entries, so M_t is the
+    unique residue of absolute value below half the moduli's product once
+    that product has 2 + t*bitlen(K-1) + bitlen(n) + bitlen(max|c|) bits;
+    primes are added, largest first, as the order grows.  A residue below
+    2^31 times a j < K < 2^33 (a table of fewer than 64 GiB) fits in uint64,
+    and so does a sum of n such residues.
+    """
+
+    def __init__(self, table: CsumTable):
+        js = np.flatnonzero(table.array)
+        self.c = table.array[js]
+        self.js = js.astype(np.uint64)
+        # the moduli's product needs bits + t * jbits bits at order t
+        self.bits = 2 + len(self.c).bit_length() + int(np.abs(self.c).max()).bit_length()
+        self.jbits = (len(table.array) - 1).bit_length()
+        self.wrap = self.c.astype(np.uint64)
+        self.primes = np.empty((0, 1), dtype=np.uint64)
+        self.residues = np.empty((0, len(self.c)), dtype=np.uint64)
+        self.moduli = [1 << 64]
+        self.moments = []
+        self._lift_basis()
+
+    def _lift_basis(self) -> None:
+        P = math.prod(self.moduli)
+        self.product = P
+        self.basis = [P // m * pow(P // m, -1, m) for m in self.moduli]
+
+    def _add_prime(self) -> None:
+        p = _prime_below(min(self.moduli[-1], 1 << 31))
+        row = (self.c % p).astype(np.uint64)
+        for _ in self.moments:  # to j^t c(j) at the order t being extended to
+            row = row * self.js % np.uint64(p)
+        self.primes = np.vstack([self.primes, np.array([[p]], dtype=np.uint64)])
+        self.residues = np.vstack([self.residues, row])
+        self.moduli.append(p)
+        self._lift_basis()
+
+    def extend(self) -> None:
+        """Append M_t for the next order t."""
+        t = len(self.moments)
+        if t:
+            self.wrap *= self.js
+            self.residues = self.residues * self.js % self.primes
+        while self.product.bit_length() < self.bits + t * self.jbits:
+            self._add_prime()
+        sums = [int(self.wrap.sum())] + (self.residues.sum(axis=1) % self.primes[:, 0]).tolist()
+        x = sum(r * e for r, e in zip(sums, self.basis)) % self.product
+        self.moments.append(x - self.product if 2 * x > self.product else x)
+
+
 @lru_cache(maxsize=2)
-def _moment_state(table: CsumTable) -> tuple:
-    """(js, powers, moments) of one table, extended in place by
-    CsumTable.moments: js are the j with c(j) != 0, powers the current
-    j^t c(j) over them, and moments[t] = M_t for every order reached."""
-    js = np.flatnonzero(table.array)
-    powers = table.array[js].tolist()
-    return js.tolist(), powers, [sum(powers)]
+def _moment_state(table: CsumTable) -> _MomentState:
+    """The moment state of one table, extended in place by CsumTable.moments."""
+    return _MomentState(table)
 
 
 def csum_table(k: int, s: int = 1, cap: int = DEFAULT_CAP) -> CsumTable:

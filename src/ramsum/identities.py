@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -222,22 +221,28 @@ def check_gauss_product(N: int, tol: float | None = None) -> CheckResult:
     return _result("gauss-product", {"N": N}, lhs, rhs, residual, "float", residual <= tol * N)
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_integer_coefficients(m: int) -> tuple:
+    """(a, D) with D the lcm of the denominators of B_0..B_m and
+    a_i = C(m, i) B_i D, an int, so that D B_m(x) = sum_i a_i x^(m-i)."""
+    D = reduce(math.lcm, (bernoulli_number(i).denominator for i in range(m + 1)), 1)
+    return tuple(int(binomial(m, i) * bernoulli_number(i) * D) for i in range(m + 1)), D
+
+
 def check_bernoulli_weight(k: int, s: int, m: int, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
     """(1/k^s) sum_{j<k^s} B_m(j/k^s) c_k^(s)(j) against (B_m/k^(sm)) J_(sm)(k).
 
-    The polynomial is rescaled by the common denominator of its coefficients,
-    so the left side is an integer combination of the period's literal
-    moments M_t = sum_j j^t c_k^(s)(j).
+    With D B_m(x) = sum_i a_i x^(m-i) in integers a_i, the left side is
+    sum_i a_i K^i M_(m-i) / (D K^(m+1)) over the period's literal moments
+    M_t = sum_j j^t c_k^(s)(j).
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     K = _period(k, s, cap, "the Bernoulli-weight sum")
     moments = csum_table(k, s, cap).moments(m)
-    coeff = [binomial(m, i) * bernoulli_number(i) * Fraction(K) ** i for i in range(m + 1)]
-    den = reduce(math.lcm, (c.denominator for c in coeff), 1)
-    # coefficient i multiplies j^(m-i)
-    total = sum(int(c * den) * M for c, M in zip(coeff, reversed(moments)))
-    lhs = Fraction(total, den * K**m * K)
+    a, D = _bernoulli_integer_coefficients(m)
+    total = sum(a_i * K**i * M for i, (a_i, M) in enumerate(zip(a, reversed(moments))))
+    lhs = Fraction(total, D * K ** (m + 1))
     fac = factorize(k)
     rhs = bernoulli_number(m) * Fraction(jordan_totient(s * m, fac), k ** (s * m))
     params = {"k": k, "m": m, "s": s}
@@ -650,6 +655,9 @@ def run_suite(cfg: SuiteConfig) -> IdentityReport:
     """Run every grid point and aggregate a canonical, order-independent report."""
     points = build_grid(cfg)
     if cfg.jobs > 1 and len(points) > 1:
+        # imported here: concurrent.futures costs every other run about 25 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(points) // (cfg.jobs * 8))
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_run_point, points, chunksize=chunk))

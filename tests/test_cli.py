@@ -330,6 +330,31 @@ def test_exact_rows_of_default_report_are_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, passed, digest",
+    [
+        (
+            ("bernoulli-weight", "--m-max", "40", "--k-max", "40"),
+            3280,
+            "5115aad5e569cfd7ee5fb462a0740f85e0a2eaa697e9228520cbaa132d740b0e",
+        ),
+        (
+            ("alkan", "--r-max", "30", "--k-max", "40"),
+            2400,
+            "6b973f583630a5f46b2cbfabe62343d64db98735ea3b0fb0a0223ca39a2b0cb9",
+        ),
+    ],
+    ids=["bernoulli-weight-m40", "alkan-r30"],
+)
+def test_high_order_exact_reports_are_pinned(capsys, argv, passed, digest):
+    # every row is exact with residual 0.0, so the whole report's bytes do
+    # not depend on libm; the moments reach order 40 here
+    code, out, _ = run_main(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["summary"] == {"fail": 0, "findings": 0, "pass": passed}
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestUsageErrors:
     def test_unknown_identity(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -345,6 +370,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "csum", "--k", "6"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("identity", ["alkan", "all"])
+    def test_k_min_above_k_max(self, capsys, identity):
+        # an empty k range would otherwise pass with every k-indexed point dropped
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", identity, "--k-min", "50", "--k-max", "3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert "--k-min" in captured.err and "--k-max" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -431,6 +467,14 @@ class TestSubprocessInvocation:
             "json",
         ]
         one = subprocess.run(base + ["--jobs", "1"], capture_output=True)
+        two = subprocess.run(base + ["--jobs", "2"], capture_output=True)
         four = subprocess.run(base + ["--jobs", "4"], capture_output=True)
-        assert one.returncode == four.returncode == 0
-        assert one.stdout == four.stdout
+        assert one.returncode == two.returncode == four.returncode == 0
+        assert one.stdout == two.stdout == four.stdout
+
+    def test_import_leaves_out_the_process_pool(self):
+        # concurrent.futures is imported only by a run_suite with jobs > 1
+        code = "import sys, ramsum; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "False\n"

@@ -282,6 +282,59 @@ class TestTable:
         assert a.values == tuple(a.array.tolist())
 
 
+def moment_oracle(table, n):
+    """M_t = sum_j j^t c(j) over one period, in Python ints, for t = 0..n."""
+    vals = table.array.tolist()
+    return [sum(j**t * c for j, c in enumerate(vals) if c) for t in range(n + 1)]
+
+
+def trial_division_is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestMoments:
+    @pytest.mark.parametrize(
+        "k, s, n",
+        [(46, 3, 12), (99991, 1, 12), (1, 1, 40), (1, 4, 40), (97, 1, 40), (12, 2, 20)],
+        ids=["K=46^3", "K=99991-prime", "k=1-s=1", "k=1-s=4", "K=97", "K=12^2"],
+    )
+    def test_match_python_int_oracle(self, k, s, n):
+        csum._moment_state.cache_clear()
+        table = csum_table(k, s)
+        assert table.moments(n) == moment_oracle(table, n)
+
+    def test_moduli_added_mid_state(self):
+        csum._moment_state.cache_clear()
+        table = csum_table(30, 3)
+        oracle = moment_oracle(table, 12)
+        assert table.moments(4) == oracle[:5]
+        before = len(csum._moment_state(table).moduli)
+        assert table.moments(12) == oracle
+        assert len(csum._moment_state(table).moduli) > before
+
+    @pytest.mark.parametrize("k, s, n", [(97, 1, 40), (46, 3, 12)])
+    def test_one_modulus_too_few_is_wrong(self, k, s, n):
+        # demanding 31 bits less drops one prime below 2^31 from some orders,
+        # which must then lift to a wrong M_t
+        table = csum_table(k, s)
+        state = csum._MomentState(table)
+        state.bits -= 31
+        for _ in range(n + 1):
+            state.extend()
+        assert state.moments != moment_oracle(table, n)
+
+    def test_moduli_are_the_primes_below_2_31(self):
+        p = 1 << 31
+        for _ in range(4):
+            q = csum._prime_below(p)
+            assert trial_division_is_prime(q)
+            assert not any(trial_division_is_prime(m) for m in range(q + 1, p))
+            p = q
+        for n in range(68, 400):
+            q = csum._prime_below(n)
+            assert trial_division_is_prime(q) and not any(trial_division_is_prime(m) for m in range(q + 1, n))
+
+
 def reduced_moebius(k, j, s):
     """c_k^(s)(j) with j reduced modulo k^s before the generalized gcd."""
     g = gen_gcd(j % k**s, k, s)
