@@ -17,7 +17,15 @@ from .arith import factorize, gen_gcd, jordan_totient
 from .csum import DEFAULT_CAP, _digit_budget, csum_eval, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
 from .exactnum import _bernoulli_budget, bernoulli_number, rat_str
-from .identities import ALL_IDENTITIES, DEFAULT_SWEEP_CAP, SuiteConfig, render_report, run_suite
+from .identities import (
+    ALL_IDENTITIES,
+    DEFAULT_K_MAX,
+    DEFAULT_SWEEP_CAP,
+    SuiteConfig,
+    render_report,
+    resolve_identities,
+    run_suite,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,12 +203,25 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _check_k_range(parser, args) -> None:
+    """Usage error for a --k-min past the upper k of a selected grid: an
+    empty k range would drop every point of that grid and pass silently."""
+    if args.k_max is not None:
+        if args.k_min > args.k_max:
+            parser.error(f"argument --k-min: must be at most --k-max, got --k-min {args.k_min} --k-max {args.k_max}")
+        return
+    for identity in resolve_identities([args.identity]):
+        hi = DEFAULT_K_MAX.get(identity)
+        # explicit --ks are not bounded by k
+        if hi is not None and args.k_min > hi and not (identity == "multivariate" and args.ks):
+            parser.error(f"argument --k-min: the {identity} grid ends at k = {hi} without --k-max, got --k-min {args.k_min}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.k_max is not None and args.k_min > args.k_max:
-        # an empty k range would drop every k-indexed point and pass silently
-        parser.error(f"argument --k-min: must be at most --k-max, got --k-min {args.k_min} --k-max {args.k_max}")
+    if args.command == "verify":
+        _check_k_range(parser, args)
     try:
         if args.command == "eval":
             return _cmd_eval(args)

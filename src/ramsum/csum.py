@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -227,13 +227,11 @@ class CsumTable:
     def moments(self, n: int) -> list:
         """The literal moments M_t = sum_{0<=j<k^s} j^t c_k^(s)(j) for t = 0..n, as ints.
 
-        Each order not yet cached for this table costs one multiply-by-j
-        sweep over its nonzero entries in every modulus, and a CRT lift.
+        The one-factor case of _MomentState: each order not yet cached for
+        this table costs one multiply-by-j sweep over its nonzero entries in
+        every modulus, and a CRT lift.
         """
-        state = _moment_state(self)
-        while len(state.moments) <= n:
-            state.extend()
-        return state.moments[: n + 1]
+        return _moment_state(self).upto(n)
 
 
 @lru_cache(maxsize=8)
@@ -274,31 +272,42 @@ def _prime_below(n: int) -> int:
 
 
 class _MomentState:
-    """The moments of one table, exact from residues: j^t c(j) over the j
-    with c(j) != 0 is kept modulo 2^64 (uint64 wrap-around) and modulo
-    primes below 2^31, and each M_t is lifted to a signed int by the CRT.
+    """The moments M_t = sum_{0<=j<K} j^t P(j) of the product period
+    P(j) = prod_i c_i(j mod K_i) of one or more tables, K the lcm of their
+    lengths K_i (one table is the one-factor case), exact from residues:
+    j^t P(j) over the j where every factor is nonzero is kept modulo 2^64
+    (uint64 wrap-around) and modulo primes below 2^31, and each M_t is
+    lifted to a signed int by the CRT.
 
-    |M_t| <= (K-1)^t n max|c| over the n nonzero entries, so M_t is the
-    unique residue of absolute value below half the moduli's product once
-    that product has 2 + t*bitlen(K-1) + bitlen(n) + bitlen(max|c|) bits;
-    primes are added, largest first, as the order grows.  A residue below
-    2^31 times a j < K < 2^33 (a table of fewer than 64 GiB) fits in uint64,
-    and so does a sum of n such residues.
+    |M_t| <= (K-1)^t n prod_i max|c_i| over the n nonzero entries, so M_t is
+    the unique residue of absolute value below half the moduli's product once
+    that product has 2 + t*bitlen(K-1) + bitlen(n) + sum_i bitlen(max|c_i|)
+    bits; primes are added, largest first, as the order grows.  A residue
+    below 2^31 times another, or times a j < K < 2^33 (a period of fewer than
+    64 GiB), fits in uint64, and so does a sum of n such residues.  The
+    factor values are gathered from the tables whenever a modulus needs them,
+    so a state keeps no row per factor.
     """
 
-    def __init__(self, table: CsumTable):
-        js = np.flatnonzero(table.array)
-        self.c = table.array[js]
-        self.js = js.astype(np.uint64)
+    def __init__(self, *tables: CsumTable):
+        self.tables = tables
+        self.K = math.lcm(*(len(t.array) for t in tables))
+        self.js = np.arange(self.K, dtype=np.uint64)
+        self.js = self.js[reduce(np.logical_and, [c != 0 for c in self._factors()])]
+        n = len(self.js)
         # the moduli's product needs bits + t * jbits bits at order t
-        self.bits = 2 + len(self.c).bit_length() + int(np.abs(self.c).max()).bit_length()
-        self.jbits = (len(table.array) - 1).bit_length()
-        self.wrap = self.c.astype(np.uint64)
-        self.primes = np.empty((0, 1), dtype=np.uint64)
-        self.residues = np.empty((0, len(self.c)), dtype=np.uint64)
+        self.bits = 2 + n.bit_length() + sum(int(np.abs(t.array).max()).bit_length() for t in tables)
+        self.jbits = (self.K - 1).bit_length()
+        self.wrap = reduce(np.multiply, [c.astype(np.uint64) for c in self._factors()])
+        self.residues = np.empty((0, n), dtype=np.uint64)
         self.moduli = [1 << 64]
         self.moments = []
         self._lift_basis()
+
+    def _factors(self) -> list:
+        """Each table's values at the kept j, gathered from the table."""
+        j = self.js.view(np.int64)  # numpy indexes faster with int64
+        return [t.array[j if len(t.array) == self.K else j % len(t.array)] for t in self.tables]
 
     def _lift_basis(self) -> None:
         P = math.prod(self.moduli)
@@ -307,10 +316,9 @@ class _MomentState:
 
     def _add_prime(self) -> None:
         p = _prime_below(min(self.moduli[-1], 1 << 31))
-        row = (self.c % p).astype(np.uint64)
-        for _ in self.moments:  # to j^t c(j) at the order t being extended to
+        row = reduce(lambda a, b: a * b % np.uint64(p), [(c % p).astype(np.uint64) for c in self._factors()])
+        for _ in self.moments:  # to j^t P(j) at the order t being extended to
             row = row * self.js % np.uint64(p)
-        self.primes = np.vstack([self.primes, np.array([[p]], dtype=np.uint64)])
         self.residues = np.vstack([self.residues, row])
         self.moduli.append(p)
         self._lift_basis()
@@ -320,18 +328,24 @@ class _MomentState:
         t = len(self.moments)
         if t:
             self.wrap *= self.js
-            self.residues = self.residues * self.js % self.primes
+            self.residues = self.residues * self.js % np.array(self.moduli[1:], dtype=np.uint64)[:, None]
         while self.product.bit_length() < self.bits + t * self.jbits:
             self._add_prime()
-        sums = [int(self.wrap.sum())] + (self.residues.sum(axis=1) % self.primes[:, 0]).tolist()
+        sums = [int(self.wrap.sum())] + [int(row.sum()) % p for row, p in zip(self.residues, self.moduli[1:])]
         x = sum(r * e for r, e in zip(sums, self.basis)) % self.product
         self.moments.append(x - self.product if 2 * x > self.product else x)
 
+    def upto(self, n: int) -> list:
+        """M_0..M_n, extending the state as far as n needs."""
+        while len(self.moments) <= n:
+            self.extend()
+        return self.moments[: n + 1]
+
 
 @lru_cache(maxsize=2)
-def _moment_state(table: CsumTable) -> _MomentState:
-    """The moment state of one table, extended in place by CsumTable.moments."""
-    return _MomentState(table)
+def _moment_state(*tables: CsumTable) -> _MomentState:
+    """The moment state of the product of the tables, extended in place by upto."""
+    return _MomentState(*tables)
 
 
 def csum_table(k: int, s: int = 1, cap: int = DEFAULT_CAP) -> CsumTable:

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .arith import divisors, euler_phi, factorize, jordan_totient, moebius_divisors, tau_sigma, von_mangoldt
-from .csum import CsumTable, _period, csum_moebius, csum_table, theta
+from .csum import CsumTable, _moment_state, _period, csum_moebius, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import bernoulli_number, bernoulli_tail, binomial, coprime_power_sum, power_sum, rat_str
 from .logspace import TWO_PI, LogLinear, float_value, log_factorial, mu_log_lemma_sides
@@ -336,8 +336,10 @@ def check_multivariate(ks, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Chec
 
     The left side is (1/k^(s(r+1))) sum_{j<=k^s} j^r prod_i c_(k_i)^(s)(j)
     with k = lcm(k_i), the unique reading that collapses to the univariate
-    identity at n = 1.  At r = 1 the corollary form (first term over 2k^s,
-    E the m = 0 divisor sum) is required to match as well.
+    identity at n = 1, and is read as that one is, from the moment M_r of
+    the period: here the product of the factor tables.  At r = 1 the
+    corollary form (first term over 2k^s, E the m = 0 divisor sum) is
+    required to match as well.
     """
     ks = list(ks)
     if not 1 <= len(ks) <= 4:
@@ -346,16 +348,10 @@ def check_multivariate(ks, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Chec
         raise ValueError("r must be positive")
     k = reduce(math.lcm, ks, 1)
     K = _period(k, s, cap, "the multivariate power-weight sum")
-    tables = [csum_table(ki, s, cap).array for ki in ks]
-    bound = math.prod(max(int(t.max()), -int(t.min()), 1) for t in tables)
-    # int64 holds every product below 2^62; past that the tables become Python ints
-    dtype = np.int64 if bound < 2**62 else object
-    prods = np.ones(K, dtype=dtype)
-    for t in tables:
-        prods *= np.tile(t.astype(dtype, copy=False), K // len(t))
-    prods = prods.tolist()
-    total = sum(j**r * prods[j] for j in range(1, K) if prods[j]) + K**r * prods[0]
-    lhs = Fraction(total, K ** (r + 1))
+    tables = [csum_table(ki, s, cap) for ki in ks]
+    # M_r of the product period P over 0 <= j < K, and j = K reads P(0)
+    P0 = math.prod(int(t.array[0]) for t in tables)
+    lhs = Fraction(_moment_state(*tables).upto(r)[r] + K**r * P0, K ** (r + 1))
     prod_j = math.prod(jordan_totient(s, factorize(ki)) for ki in ks)
     rhs = Fraction(prod_j, 2 * K) + bernoulli_tail(r, lambda m: g_divisor_sum(ks, s, m) / Fraction(K) ** (2 * m))
     passed = lhs == rhs
@@ -409,6 +405,23 @@ def check_mu_log_lemma(k: int, s: int) -> CheckResult:
 # ---------------------------------------------------------------- suite runner
 
 DEFAULT_WEIGHTS = ("power:s", "phi", "jordan:2", "tau", "sigma")
+DEFAULT_TUPLES = tuple(combinations_with_replacement(range(1, 9), 2)) + tuple(
+    combinations_with_replacement(range(1, 6), 3)
+)
+# the largest k of each k-indexed grid when --k-max is not given; for
+# multivariate it bounds lcm(ks) over the default tuples
+DEFAULT_K_MAX = {
+    "alkan": 20,
+    "alkan-classical": 30,
+    "log-weight": 50,
+    "gcd-weight": 25,
+    "gamma-weight": 30,
+    "bernoulli-weight": 12,
+    "binomial-weight": 64,
+    "exp-weight": 12,
+    "mu-log-lemma": 100,
+    "multivariate": max(reduce(math.lcm, ks) for ks in DEFAULT_TUPLES),
+}
 
 
 @dataclass
@@ -447,8 +460,8 @@ def _svals(cfg: SuiteConfig, default: int) -> list[int]:
     return list(range(1, (cfg.s_max if cfg.s_max is not None else default) + 1))
 
 
-def _kvals(cfg: SuiteConfig, default: int, lo: int = 1):
-    return range(max(lo, cfg.k_min), (cfg.k_max if cfg.k_max is not None else default) + 1)
+def _kvals(cfg: SuiteConfig, identity: str, lo: int = 1) -> range:
+    return range(max(lo, cfg.k_min), (cfg.k_max if cfg.k_max is not None else DEFAULT_K_MAX[identity]) + 1)
 
 
 def _rvals(cfg: SuiteConfig, default: int) -> range:
@@ -473,30 +486,30 @@ def _capped_s(cfg: SuiteConfig, k: int, s_default: int, cap: int):
         yield s, K
 
 
-def _capped_ks(cfg: SuiteConfig, k_default: int, s_default: int = 2, lo: int = 1, cap: int | None = None):
+def _capped_ks(cfg: SuiteConfig, identity: str, s_default: int = 2, lo: int = 1, cap: int | None = None):
     """(k, s, k^s) with k outer and s inner, keeping the points with k^s <= cap."""
     cap = cfg.cap if cap is None else cap
-    for k in _kvals(cfg, k_default, lo):
+    for k in _kvals(cfg, identity, lo):
         for s, K in _capped_s(cfg, k, s_default, cap):
             yield k, s, K
 
 
 def _grid_alkan_classical(cfg):
-    return [{"k": k, "r": r} for k in _kvals(cfg, 30) if k <= cfg.cap for r in _rvals(cfg, 4)]
+    return [{"k": k, "r": r} for k in _kvals(cfg, "alkan-classical") if k <= cfg.cap for r in _rvals(cfg, 4)]
 
 
 def _grid_alkan(cfg):
-    return [{"k": k, "r": r, "s": s} for k, s, _ in _capped_ks(cfg, 20) for r in _rvals(cfg, 4)]
+    return [{"k": k, "r": r, "s": s} for k, s, _ in _capped_ks(cfg, "alkan") for r in _rvals(cfg, 4)]
 
 
 def _grid_log_weight(cfg):
-    return [{"k": k, "s": s} for k in _kvals(cfg, 50) for s in _svals(cfg, 2)]
+    return [{"k": k, "s": s} for k in _kvals(cfg, "log-weight") for s in _svals(cfg, 2)]
 
 
 def _grid_gcd_weight(cfg):
     weights = cfg.weights if cfg.weights is not None else DEFAULT_WEIGHTS
     out = []
-    for k, s, _ in _capped_ks(cfg, 25):
+    for k, s, _ in _capped_ks(cfg, "gcd-weight"):
         for token in weights:
             resolved = token.replace(":s", f":{s}") if token.endswith(":s") else token
             parse_weight(resolved)
@@ -505,7 +518,7 @@ def _grid_gcd_weight(cfg):
 
 
 def _grid_gamma_weight(cfg):
-    return [{"k": k, "s": s} for k, s, _ in _capped_ks(cfg, 30, lo=2)]
+    return [{"k": k, "s": s} for k, s, _ in _capped_ks(cfg, "gamma-weight", lo=2)]
 
 
 def _grid_gauss_product(cfg):
@@ -513,13 +526,14 @@ def _grid_gauss_product(cfg):
 
 
 def _grid_bernoulli_weight(cfg):
-    return [{"k": k, "m": m, "s": s} for k, s, _ in _capped_ks(cfg, 12) for m in range(_mmax(cfg, 6) + 1)]
+    mvals = range(_mmax(cfg, 6) + 1)
+    return [{"k": k, "m": m, "s": s} for k, s, _ in _capped_ks(cfg, "bernoulli-weight") for m in mvals]
 
 
 def _grid_binomial_weight(cfg):
     # default sweep stays at k^s <= 64; explicit ranges may reach the hard cap
     hard = 64 if cfg.k_max is None and cfg.s is None and cfg.s_max is None else _BINOMIAL_CAP
-    return [{"k": k, "s": s} for k, s, _ in _capped_ks(cfg, 64, s_default=6, cap=min(hard, cfg.cap))]
+    return [{"k": k, "s": s} for k, s, _ in _capped_ks(cfg, "binomial-weight", s_default=6, cap=min(hard, cfg.cap))]
 
 
 def _grid_multisection(cfg):
@@ -530,21 +544,18 @@ def _grid_multisection(cfg):
 
 def _grid_exp_weight(cfg):
     return [
-        {"k": k, "n": n, "s": s} for k, s, K in _capped_ks(cfg, 12) for n in range(min(K, _nmax(cfg, 25)) + 1)
+        {"k": k, "n": n, "s": s} for k, s, K in _capped_ks(cfg, "exp-weight") for n in range(min(K, _nmax(cfg, 25)) + 1)
     ]
 
 
 def _grid_mu_log_lemma(cfg):
-    return [{"k": k, "s": s} for k in _kvals(cfg, 100) for s in _svals(cfg, 4)]
-
-
-DEFAULT_TUPLES = tuple(combinations_with_replacement(range(1, 9), 2)) + tuple(
-    combinations_with_replacement(range(1, 6), 3)
-)
+    return [{"k": k, "s": s} for k in _kvals(cfg, "mu-log-lemma") for s in _svals(cfg, 4)]
 
 
 def _grid_multivariate(cfg):
-    tuples = cfg.ks if cfg.ks is not None else DEFAULT_TUPLES
+    # --k-min and --k-max bound lcm(ks) of the default tuples; explicit ks run as given
+    kvals = _kvals(cfg, "multivariate")
+    tuples = cfg.ks if cfg.ks is not None else [ks for ks in DEFAULT_TUPLES if reduce(math.lcm, ks) in kvals]
     out = []
     for ks in tuples:
         k = reduce(math.lcm, ks, 1)

@@ -343,12 +343,18 @@ def test_exact_rows_of_default_report_are_pinned(capsys):
             2400,
             "6b973f583630a5f46b2cbfabe62343d64db98735ea3b0fb0a0223ca39a2b0cb9",
         ),
+        (
+            ("multivariate", "--s-max", "3", "--r-max", "8", "--cap", "1000000"),
+            1704,
+            "b7b1583f65cf71318d943179dd445234356660ae4e0658a9a6a191d34a817ecd",
+        ),
     ],
-    ids=["bernoulli-weight-m40", "alkan-r30"],
+    ids=["bernoulli-weight-m40", "alkan-r30", "multivariate-s3-r8"],
 )
 def test_high_order_exact_reports_are_pinned(capsys, argv, passed, digest):
     # every row is exact with residual 0.0, so the whole report's bytes do
-    # not depend on libm; the moments reach order 40 here
+    # not depend on libm; the moments reach order 40 here, and multivariate
+    # reads those of its product periods up to K = 60^3
     code, out, _ = run_main(capsys, "verify", *argv, "--format", "json")
     assert code == 0
     assert json.loads(out)["summary"] == {"fail": 0, "findings": 0, "pass": passed}
@@ -381,6 +387,37 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "--k-min" in captured.err and "--k-max" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "identity, k_min, upper",
+        [
+            ("alkan", "50", "20"),
+            ("bernoulli-weight", "13", "12"),
+            ("all", "50", "20"),
+            ("multivariate", "61", "60"),
+        ],
+    )
+    def test_k_min_above_default_upper_k(self, capsys, identity, k_min, upper):
+        # without --k-max each grid ends at its default k (multivariate's bounds
+        # lcm(ks)); --k-min past it would run an empty grid and pass
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", identity, "--k-min", k_min])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert captured.err.count("usage:") == 1
+        named = "alkan" if identity == "all" else identity
+        assert f"--k-min {k_min}" in captured.err and f"the {named} grid ends at k = {upper}" in captured.err
+
+    def test_k_min_at_default_upper_k_runs(self, capsys):
+        code, out, _ = run_main(capsys, "verify", "log-weight", "--k-min", "50")
+        assert code == 0
+        assert [json.loads(line.split()[1])["k"] for line in out.splitlines()[1:-1]] == [50, 50]
+
+    def test_k_min_leaves_explicit_ks(self, capsys):
+        code, out, _ = run_main(capsys, "verify", "multivariate", "--ks", "2,3", "--k-min", "61", "--r-max", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "summary pass=2 fail=0 findings=0"
 
     @pytest.mark.parametrize(
         "argv",

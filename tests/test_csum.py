@@ -288,6 +288,15 @@ def moment_oracle(table, n):
     return [sum(j**t * c for j, c in enumerate(vals) if c) for t in range(n + 1)]
 
 
+def product_moment_oracle(tables, n):
+    """M_t = sum_j j^t prod_i c_i(j mod K_i) over the lcm K of the table
+    lengths, in Python ints, for t = 0..n."""
+    vals = [t.array.tolist() for t in tables]
+    K = math.lcm(*map(len, vals))
+    prods = [math.prod(v[j % len(v)] for v in vals) for j in range(K)]
+    return [sum(j**t * c for j, c in enumerate(prods) if c) for t in range(n + 1)]
+
+
 def trial_division_is_prime(n):
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
@@ -322,6 +331,26 @@ class TestMoments:
         for _ in range(n + 1):
             state.extend()
         assert state.moments != moment_oracle(table, n)
+
+    @pytest.mark.parametrize(
+        "ks, s, n",
+        [((4, 6), 1, 40), ((1, 6, 9), 2, 12), ((12, 18), 2, 20), ((251, 251, 251, 251), 2, 6)],
+        ids=["K=12", "k=1-factor", "K=36^2", "251^4"],
+    )
+    def test_product_matches_python_int_oracle(self, ks, s, n):
+        # at 251^4 a product of four J_2(251) passes 2^63 and the moments 2^64
+        csum._moment_state.cache_clear()
+        tables = [csum_table(k, s) for k in ks]
+        assert csum._moment_state(*tables).upto(n) == product_moment_oracle(tables, n)
+
+    @pytest.mark.parametrize("ks, s, n", [((6, 10), 2, 30), ((251, 251, 251, 251), 2, 6)])
+    def test_product_one_modulus_too_few_is_wrong(self, ks, s, n):
+        tables = [csum_table(k, s) for k in ks]
+        state = csum._MomentState(*tables)
+        state.bits -= 31
+        for _ in range(n + 1):
+            state.extend()
+        assert state.moments != product_moment_oracle(tables, n)
 
     def test_moduli_are_the_primes_below_2_31(self):
         p = 1 << 31

@@ -19,6 +19,8 @@ from ramsum.errors import ResourceLimitError
 from ramsum.exactnum import bernoulli_number
 from ramsum.identities import (
     ALL_IDENTITIES,
+    DEFAULT_K_MAX,
+    DEFAULT_TUPLES,
     CheckResult,
     IdentityReport,
     SuiteConfig,
@@ -481,6 +483,22 @@ class TestSuiteRunner:
         assert len(build_grid(cfg)) == 60
         cfg = SuiteConfig(identities=("log-weight",), k_max=0)
         assert build_grid(cfg) == []
+
+    def test_multivariate_default_tuples_bounded_by_k(self):
+        lcms = [reduce_lcm(ks) for ks in DEFAULT_TUPLES]
+        assert DEFAULT_K_MAX["multivariate"] == 60
+        # every default lcm is within --k-max 120, so that grid is the default one
+        base = build_grid(SuiteConfig(identities=("multivariate",)))
+        assert build_grid(SuiteConfig(identities=("multivariate",), k_max=120)) == base
+        assert len({tuple(p[1]["ks"]) for p in base}) == len(DEFAULT_TUPLES)
+        # only built, never run: unbounded, this grid reaches K = 60^5 under the cap
+        cfg = SuiteConfig(identities=("multivariate",), k_max=3, s_max=12, cap=10**10)
+        kept = [ks for ks, m in zip(DEFAULT_TUPLES, lcms) if m <= 3]
+        assert len(kept) == 12
+        explicit = SuiteConfig(identities=("multivariate",), ks=tuple(kept), s_max=12, cap=10**10)
+        assert build_grid(cfg) == build_grid(explicit)
+        cfg = SuiteConfig(identities=("multivariate",), k_min=7, k_max=12)
+        assert {reduce_lcm(p[1]["ks"]) for p in build_grid(cfg)} == {m for m in lcms if 7 <= m <= 12}
 
     def test_weight_grid_resolves_s_placeholder(self):
         cfg = SuiteConfig(identities=("gcd-weight",), k_max=3, s_max=2, weights=("power:s",))
