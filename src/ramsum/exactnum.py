@@ -31,23 +31,36 @@ _bern: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 _bern_lock = threading.Lock()
 
 
-def bernoulli_number(m: int) -> Fraction:
-    """B_m with B_1 = -1/2, from the solved recurrence, memoized.
+def _tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, ..., T_n], the tangent numbers T_i = tan^(2i-1)(0), in one
+    in-place pass of O(n^2) small-by-big integer products (Brent and Harvey,
+    "Fast computation of Bernoulli, Tangent and Secant numbers", 2011)."""
+    t = [0, 1] + [0] * (n - 1)
+    for i in range(2, n + 1):
+        t[i] = (i - 1) * t[i - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return t
 
-    For n >= 2 the symmetric relation B_n = sum_k C(n,k) B_k pins
-    B_{n-1} = -(1/n) sum_{k<n-1} C(n,k) B_k.  Odd entries past B_1 must
-    come out zero; that is asserted rather than assumed.
+
+def bernoulli_number(m: int) -> Fraction:
+    """B_m with B_1 = -1/2, from tangent numbers, memoized.
+
+    B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)), and B_m = 0 for odd m > 1.
+    A memo too short for m is refilled from one tangent pass at least twice
+    its length, so callers that walk m upwards pay O(m^2) in all.
     """
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     with _bern_lock:
-        while len(_bern) <= m:
-            n = len(_bern)
-            acc = sum(comb(n + 1, i) * _bern[i] for i in range(n))
-            value = -acc / Fraction(n + 1)
-            if n > 1 and n % 2 and value:
-                raise InternalConsistencyError(f"odd Bernoulli number B_{n} came out nonzero")
-            _bern.append(value)
+        if len(_bern) <= m:
+            n = max(m // 2, len(_bern) - 1)
+            t = _tangent_numbers(n)
+            del _bern[2:]
+            for i in range(1, n + 1):
+                b = Fraction(2 * i * t[i], 4**i * (4**i - 1))
+                _bern.extend((b if i % 2 else -b, Fraction(0)))
         return _bern[m]
 
 
@@ -55,7 +68,7 @@ def _bernoulli_budget(m: int) -> None:
     """ResourceLimitError once bernoulli_number(m) would build a numerator past
     sys.get_int_max_str_digits() decimal digits (a limit of 0 means none).
 
-    The recurrence builds every B_i with i <= m, among them the last even
+    The tangent pass builds every B_i with i <= m, among them the last even
     one, B_n.  For even n >= 2, |B_n| = 2 n! zeta(n) / (2 pi)^n and its
     denominator is a multiple of 6, so its numerator has more than
     log10(12 n! / (2 pi)^n) digits; only a bound a whole digit past the limit
@@ -67,7 +80,7 @@ def _bernoulli_budget(m: int) -> None:
         return
     digits = math.log10(12) + (math.lgamma(n + 1) - n * math.log(2 * math.pi)) / math.log(10)
     _refuse_past_digit_limit(
-        f"the Bernoulli recurrence up to B_{m} would build a numerator past", lambda limit: digits > limit + 1
+        f"the tangent-number pass up to B_{m} would build a numerator past", lambda limit: digits > limit + 1
     )
 
 

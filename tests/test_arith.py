@@ -7,10 +7,12 @@ so a shared bug in the library cannot hide itself.
 
 import math
 import time
+import types
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ramsum import arith
 from ramsum.arith import (
     Factorization,
     PrimeSieve,
@@ -62,11 +64,12 @@ def brute_phi(n):
 
 
 class TestFactorize:
-    @given(st.integers(min_value=1, max_value=200_000))
+    @given(st.integers(min_value=1, max_value=2_000_000))
     def test_matches_trial_division(self, n):
-        fac = factorize(n)
-        assert fac.value == n
-        assert fac.factors == brute_factorize(n)
+        # past the 10^6 sieve too; the second call is answered from the memo
+        for fac in (factorize(n), factorize(n)):
+            assert fac.value == n
+            assert fac.factors == brute_factorize(n)
 
     def test_one_has_empty_factors(self):
         assert factorize(1).factors == ()
@@ -93,6 +96,54 @@ class TestFactorize:
             assert factorize(n).factors == ((7, 1), (1_000_003, 1))
         finally:
             configure_default_sieve(1_000_000)
+
+
+class TestFactorMemo:
+    """factorize answers from one bounded memo of validated factorizations."""
+
+    @given(st.integers(min_value=1_000_001, max_value=10**10))
+    def test_matches_trial_fallback_past_the_sieve(self, n):
+        assert factorize(n).factors == arith._trial_factorize(n).factors
+
+    def test_result_is_shared(self):
+        assert factorize(360) is factorize(360)
+        assert factorize(1_000_003 * 7) is factorize(1_000_003 * 7)
+
+    def test_factorize_stays_a_plain_function(self):
+        # the perfbench tracer wraps only plain functions bound in a module
+        assert isinstance(arith.factorize, types.FunctionType)
+
+    def test_memo_is_bounded(self):
+        for n in range(2, 5002):
+            factorize(n)
+        assert arith._factor.cache_info().currsize <= 1024
+
+    def test_rejected_inputs_never_reach_the_memo(self):
+        before = arith._factor.cache_info()
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                factorize(n)
+        assert arith._factor.cache_info() == before
+
+    def test_configuring_the_sieve_forgets_the_memo(self, monkeypatch):
+        # 510510 is in the default sieve's range but past a 1000-limit one, so
+        # after the sieve shrinks it must come from trial division, not the memo
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return trial(n)
+
+        trial = arith._trial_factorize
+        n = 2 * 3 * 5 * 7 * 11 * 13 * 17
+        factorize(n)
+        monkeypatch.setattr(arith, "_trial_factorize", counted)
+        configure_default_sieve(1000)
+        try:
+            assert factorize(n).factors == ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1))
+        finally:
+            configure_default_sieve(1_000_000)
+        assert calls == [n]
 
 
 class TestSieve:

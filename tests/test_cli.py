@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +154,7 @@ class TestDigitBudget:
 
 class TestBernoulliBudget:
     """eval bernoulli refuses, before computing anything, an m whose
-    recurrence would build a numerator past the int-to-str digit limit."""
+    tangent pass would build a numerator past the int-to-str digit limit."""
 
     @pytest.mark.parametrize("m", ["3000", "3001", "1" + "0" * 400])
     def test_refused_before_computing(self, capsys, monkeypatch, m):
@@ -170,6 +171,21 @@ class TestBernoulliBudget:
         assert f"{sys.get_int_max_str_digits()} decimal digits" in err
         assert "sys.get_int_max_str_digits()" in err
         assert err.count("\n") == 1
+
+    def test_largest_accepted_m_answers_in_bounded_time(self, capsys, monkeypatch):
+        # 2065 is the largest m the default digit limit accepts; B_2065 = 0,
+        # but the tangent pass still builds every B_2i up to B_2064 from a
+        # cold memo; the Fraction recurrence it replaced took minutes
+        from ramsum import exactnum
+
+        assert sys.get_int_max_str_digits() == 4300
+        monkeypatch.setattr(exactnum, "_bern", [Fraction(1), Fraction(-1, 2)])
+        started = time.perf_counter()
+        code, out, _ = run_main(capsys, "eval", "bernoulli", "--m", "2065")
+        assert time.perf_counter() - started < 30
+        assert (code, out) == (0, "0\n")
+        assert len(exactnum._bern) > 2064 and exactnum._bern[2064] != 0
+        assert run_main(capsys, "eval", "bernoulli", "--m", "2066")[0] == 1
 
     def test_negative_m_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -418,6 +434,23 @@ class TestUsageErrors:
         code, out, _ = run_main(capsys, "verify", "multivariate", "--ks", "2,3", "--k-min", "61", "--r-max", "1")
         assert code == 0
         assert out.splitlines()[-1] == "summary pass=2 fail=0 findings=0"
+
+    @pytest.mark.parametrize(
+        "identity, flags",
+        [
+            ("gamma-weight", ("--cap", "1")),
+            ("gamma-weight", ("--k-max", "1")),
+            ("binomial-weight", ("--cap", "1", "--k-min", "2")),
+            ("alkan-classical", ("--k-min", "5", "--cap", "4")),
+        ],
+    )
+    def test_empty_grid_is_an_error(self, capsys, identity, flags):
+        # the cap or the grid's own k floor drops every point: nothing was
+        # checked, so the run must not pass
+        code, out, err = run_main(capsys, "verify", identity, *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("ramsum: error: ") and f"the {identity} grid" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
