@@ -50,11 +50,7 @@ def _period(k: int, s: int, cap: int, what: str) -> int:
     before it is built, and the message never prints k^s: a huge s costs
     nothing and cannot hit the int-to-str digit limit.
     """
-    # _check_args inlined: this runs once per csum_direct call
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if s < 1:
-        raise ValueError(f"s must be positive, got {s}")
+    _check_args(k, s)
     if s * (k.bit_length() - 1) < cap.bit_length():
         K = k**s
         if K <= cap:
@@ -110,28 +106,25 @@ def csum_hoelder(k: int, j: int, s: int = 1) -> int:
 
 @dataclass(eq=False)
 class _DirectContext:
-    """One (k, s) of the direct route: its s-coprime residues and, once the
-    key is asked for a second time, the real half-spectrum of their indicator."""
+    """One (k, s) of the direct route: the mask of its s-coprime residues and,
+    once the key is asked for a second time, the real half-spectrum of the mask."""
 
-    residues: np.ndarray
+    mask: np.ndarray
     cold: bool = True
     spectrum: np.ndarray | None = None
 
 
 @lru_cache(maxsize=4)
 def _direct_context(k: int, s: int) -> _DirectContext:
-    """The residues m in [1, k^s] with (m, k^s)_s = 1, as a numpy index array,
-    in a fresh context with no spectrum yet."""
+    """The boolean mask over m mod k^s of (m, k^s)_s = 1, index 0 standing for
+    m = k^s, in a fresh context with no spectrum yet."""
     fac = factorize(k)
-    K = k**s
-    keep = np.ones(K + 1, dtype=bool)
-    keep[0] = False
+    mask = np.ones(k**s, dtype=bool)
     for p, _ in fac.factors:
-        keep[p**s :: p**s] = False
-    m = np.nonzero(keep)[0].astype(np.int64)
-    if len(m) != jordan_totient(s, fac):
+        mask[:: p**s] = False
+    if np.count_nonzero(mask) != jordan_totient(s, fac):
         raise InternalConsistencyError(f"s-coprime residue count mismatch for k={k}, s={s}")
-    return _DirectContext(m)
+    return _DirectContext(mask)
 
 
 def _block_fsum(arr: np.ndarray, block: int = 1024) -> float:
@@ -143,18 +136,16 @@ def _block_fsum(arr: np.ndarray, block: int = 1024) -> float:
     return math.fsum(partials.tolist())
 
 
-def _spectrum(k: int, s: int, K: int, residues: np.ndarray) -> np.ndarray:
-    """Real part of the rfft of the s-coprime indicator mod K, bins 0..K//2.
+def _spectrum(k: int, s: int, mask: np.ndarray) -> np.ndarray:
+    """Real part of the rfft of the s-coprime mask mod K = k^s, bins 0..K//2.
 
     The residue set is closed under m -> -m, so c_k^(s) is real and even and
     bin r holds c_k^(s)(r) = c_k^(s)(K - r).  Bin 0 must equal J_s(k) and
     every imaginary part vanish to within the FFT's rounding bound
-    u log2(K) sqrt(K) ||x||_2 (Higham, ch. 24), with ||x||_2 = sqrt(J_s(k)).
+    u log2(K) sqrt(K) ||mask||_2 (Higham, ch. 24), with ||mask||_2 = sqrt(J_s(k)).
     """
-    x = np.zeros(K)
-    x[residues % K] = 1.0
-    X = np.fft.rfft(x)
-    J = len(residues)
+    X = np.fft.rfft(mask)
+    K, J = mask.size, np.count_nonzero(mask)
     bound = 2.0**-52 * math.log2(K) * math.sqrt(K) * math.sqrt(J)
     err = max(abs(X[0] - J), float(np.abs(X.imag).max()))
     if err > bound:
@@ -180,9 +171,9 @@ def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
         if ctx.cold:
             ctx.cold = False
             # the same angles, bit for bit, as a table of 2*pi*t/K over t < K
-            ang = (2.0 * np.pi / K) * (r * ctx.residues % K).astype(np.float64)
+            ang = (2.0 * np.pi / K) * (r * np.flatnonzero(ctx.mask) % K).astype(np.float64)
             return complex(_block_fsum(np.cos(ang)), _block_fsum(np.sin(ang)))
-        ctx.spectrum = _spectrum(k, s, K, ctx.residues)
+        ctx.spectrum = _spectrum(k, s, ctx.mask)
     return complex(ctx.spectrum[min(r, K - r)])
 
 
@@ -292,8 +283,8 @@ class _MomentState:
     def __init__(self, *tables: CsumTable):
         self.tables = tables
         self.K = math.lcm(*(len(t.array) for t in tables))
-        self.js = np.arange(self.K, dtype=np.uint64)
-        self.js = self.js[reduce(np.logical_and, [c != 0 for c in self._factors()])]
+        nonzero = [np.tile(t.array != 0, self.K // len(t.array)) for t in self.tables]
+        self.js = np.flatnonzero(reduce(np.logical_and, nonzero)).view(np.uint64)
         n = len(self.js)
         # the moduli's product needs bits + t * jbits bits at order t
         self.bits = 2 + n.bit_length() + sum(int(np.abs(t.array).max()).bit_length() for t in tables)

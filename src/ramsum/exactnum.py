@@ -68,20 +68,28 @@ def _bernoulli_budget(m: int) -> None:
     """ResourceLimitError once bernoulli_number(m) would build a numerator past
     sys.get_int_max_str_digits() decimal digits (a limit of 0 means none).
 
-    The tangent pass builds every B_i with i <= m, among them the last even
-    one, B_n.  For even n >= 2, |B_n| = 2 n! zeta(n) / (2 pi)^n and its
-    denominator is a multiple of 6, so its numerator has more than
-    log10(12 n! / (2 pi)^n) digits; only a bound a whole digit past the limit
-    is refused, so float rounding never refuses a printable value.
+    Judged by the last even B_n, n <= m, which the tangent pass builds.  For
+    even n >= 2, |B_n| = 2 n! zeta(n) / (2 pi)^n > 2 n! / (2 pi)^n, and its
+    denominator is D_n, the product of the primes p with (p - 1) | n (von
+    Staudt-Clausen), so its numerator has more than log10(2 n! D_n / (2 pi)^n)
+    digits; a bound that reaches the limit is refused.  D_n >= 6, and D_n is
+    found only when the bound with 6 in its place stays below the limit, so a
+    huge m costs nothing.
     """
     # past 2^60 the bound passes any limit; capping n keeps lgamma's argument a float
     n = min(m - m % 2, 1 << 60)
     if n < 2:
         return
-    digits = math.log10(12) + (math.lgamma(n + 1) - n * math.log(2 * math.pi)) / math.log(10)
-    _refuse_past_digit_limit(
-        f"the tangent-number pass up to B_{m} would build a numerator past", lambda limit: digits > limit + 1
-    )
+    digits = math.log10(2) + (math.lgamma(n + 1) - n * math.log(2 * math.pi)) / math.log(10)
+
+    def past(limit: int) -> bool:
+        if digits + math.log10(6) >= limit:
+            return True
+        ds = {e for d in range(1, math.isqrt(n) + 1) if n % d == 0 for e in (d, n // d)}
+        primes = [d + 1 for d in ds if all((d + 1) % q for q in range(2, math.isqrt(d + 1) + 1))]
+        return digits + sum(map(math.log10, primes)) >= limit
+
+    _refuse_past_digit_limit(f"the tangent-number pass up to B_{m} would build a numerator past", past)
 
 
 def bernoulli_poly(m: int, x) -> Fraction:

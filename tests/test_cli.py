@@ -173,19 +173,49 @@ class TestBernoulliBudget:
         assert err.count("\n") == 1
 
     def test_largest_accepted_m_answers_in_bounded_time(self, capsys, monkeypatch):
-        # 2065 is the largest m the default digit limit accepts; B_2065 = 0,
-        # but the tangent pass still builds every B_2i up to B_2064 from a
+        # 2063 is the largest m the default digit limit accepts; B_2063 = 0,
+        # but the tangent pass still builds every B_2i up to B_2062 from a
         # cold memo; the Fraction recurrence it replaced took minutes
         from ramsum import exactnum
 
         assert sys.get_int_max_str_digits() == 4300
         monkeypatch.setattr(exactnum, "_bern", [Fraction(1), Fraction(-1, 2)])
         started = time.perf_counter()
-        code, out, _ = run_main(capsys, "eval", "bernoulli", "--m", "2065")
+        code, out, _ = run_main(capsys, "eval", "bernoulli", "--m", "2063")
         assert time.perf_counter() - started < 30
         assert (code, out) == (0, "0\n")
-        assert len(exactnum._bern) > 2064 and exactnum._bern[2064] != 0
-        assert run_main(capsys, "eval", "bernoulli", "--m", "2066")[0] == 1
+        assert len(exactnum._bern) > 2062 and exactnum._bern[2062] != 0
+        assert run_main(capsys, "eval", "bernoulli", "--m", "2064")[0] == 1
+
+    def test_accepts_exactly_the_printable_numerators(self, capsys, monkeypatch):
+        # a refused m is refused by the budget, before B_m is asked for; at a
+        # limit of 4296 only B_2062's denominator lifts its bound (4295.84
+        # without it) past the limit its 4300-digit numerator passes
+        from ramsum import cli, exactnum
+
+        exactnum.bernoulli_number(2070)
+        asked = []
+        monkeypatch.setattr(cli, "bernoulli_number", lambda m: asked.append(m) or exactnum.bernoulli_number(m))
+        default = sys.get_int_max_str_digits()
+        try:
+            for limit in (default, 4296):
+                sys.set_int_max_str_digits(limit)
+                for m in range(2040, 2071, 2):
+                    printable = abs(exactnum._bern[m].numerator) < 10**limit
+                    asked.clear()
+                    code = run_main(capsys, "eval", "bernoulli", "--m", str(m))[0]
+                    assert (code == 0, asked == [m]) == (printable, printable), (limit, m)
+        finally:
+            sys.set_int_max_str_digits(default)
+
+    def test_first_refused_m_is_refused_from_a_cold_memo(self, capsys, monkeypatch):
+        # B_2064's numerator has 4311 digits; the budget refuses it before the pass
+        from ramsum import exactnum
+
+        monkeypatch.setattr(exactnum, "_bern", [Fraction(1), Fraction(-1, 2)])
+        code, out, err = run_main(capsys, "eval", "bernoulli", "--m", "2064")
+        assert (code, out) == (1, "") and "decimal digits" in err
+        assert len(exactnum._bern) == 2
 
     def test_negative_m_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

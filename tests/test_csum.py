@@ -251,6 +251,31 @@ class TestDirectSpectrum:
             csum._direct_context.cache_clear()
 
 
+class TestDirectMask:
+    """The direct route keeps one boolean mask per (k, s): the support of theta."""
+
+    @pytest.mark.parametrize("k, s", SPECTRUM_PERIODS)
+    def test_mask_is_theta(self, k, s):
+        mask = csum._direct_context(k, s).mask
+        assert mask.dtype == bool and mask.shape == (k**s,)
+        assert mask.tolist() == [theta(k, m, s) == 1 for m in range(k**s)]
+
+    def test_count_mismatch_is_an_internal_error(self, monkeypatch, capsys):
+        from ramsum.cli import main
+
+        real = csum.jordan_totient
+        csum._direct_context.cache_clear()
+        monkeypatch.setattr(csum, "jordan_totient", lambda s, fac: real(s, fac) + 1)
+        try:
+            with pytest.raises(InternalConsistencyError, match="residue count mismatch for k=30, s=2"):
+                csum_direct(30, 7, 2)
+            assert main(["eval", "csum", "--k", "30", "--j", "7", "--s", "2", "--method", "direct"]) == 3
+            assert capsys.readouterr().err.startswith("ramsum: internal error: s-coprime residue count mismatch")
+        finally:
+            monkeypatch.undo()
+            csum._direct_context.cache_clear()
+
+
 class TestTable:
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=2))
     def test_matches_pointwise(self, k, s):
@@ -351,6 +376,13 @@ class TestMoments:
         for _ in range(n + 1):
             state.extend()
         assert state.moments != product_moment_oracle(tables, n)
+
+    def test_kept_j_are_the_nonzero_products(self):
+        # factors of unequal period, each tiled to K = lcm(4, 6, 9) = 36
+        tables = [csum_table(k, 1) for k in (4, 6, 9)]
+        state = csum._MomentState(*tables)
+        vals = [t.array.tolist() for t in tables]
+        assert state.js.tolist() == [j for j in range(36) if all(v[j % len(v)] for v in vals)]
 
     def test_moduli_are_the_primes_below_2_31(self):
         p = 1 << 31
