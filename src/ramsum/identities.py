@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -98,11 +99,16 @@ class CheckResult:
     classification: str
 
 
+def _predicted_defect(identity: str, params: dict) -> bool:
+    """Whether a mismatch here is a finding: the log-weight closed form at s >= 2."""
+    return identity == "log-weight" and params.get("s", 1) >= 2
+
+
 def _result(identity: str, params: dict, lhs, rhs, residual: float, mode: str, passed: bool) -> CheckResult:
     if passed:
         classification = "verified" if mode == "exact" else "numerical-pass"
     else:
-        classification = "finding-mismatch"
+        classification = "finding-mismatch" if _predicted_defect(identity, params) else "mismatch"
     return CheckResult(identity, params, lhs, rhs, float(residual), mode, bool(passed), classification)
 
 
@@ -588,36 +594,28 @@ def _grid_coprime_power_sum(cfg):
 
 
 # The identity registry, in "all" order: id -> (grid builder, check).  A grid
-# builder maps a SuiteConfig to parameter dicts; a check maps (params, cap,
-# tol) to a CheckResult and names its check_* function, looked up at call time.
+# builder maps a SuiteConfig to parameter dicts whose keys are the check's
+# parameter names; a check maps (params, cap, tol) to a CheckResult and names
+# its check_* function, looked up at call time.
 _REGISTRY = {
-    "alkan": (_grid_alkan, lambda p, cap, tol: check_alkan_generalized(p["k"], p["s"], p["r"], cap=cap)),
-    "alkan-classical": (_grid_alkan_classical, lambda p, cap, tol: check_alkan_classical(p["k"], p["r"], cap=cap)),
-    "log-weight": (_grid_log_weight, lambda p, cap, tol: check_log_weight(p["k"], p["s"])),
+    "alkan": (_grid_alkan, lambda p, cap, tol: check_alkan_generalized(**p, cap=cap)),
+    "alkan-classical": (_grid_alkan_classical, lambda p, cap, tol: check_alkan_classical(**p, cap=cap)),
+    "log-weight": (_grid_log_weight, lambda p, cap, tol: check_log_weight(**p)),
     "gcd-weight": (
         _grid_gcd_weight,
         lambda p, cap, tol: check_gcd_weight(p["k"], p["s"], parse_weight(p["weight"]), cap=cap),
     ),
-    "gamma-weight": (_grid_gamma_weight, lambda p, cap, tol: check_gamma_weight(p["k"], p["s"], cap=cap, tol=tol)),
-    "gauss-product": (_grid_gauss_product, lambda p, cap, tol: check_gauss_product(p["N"], tol=tol)),
-    "bernoulli-weight": (
-        _grid_bernoulli_weight,
-        lambda p, cap, tol: check_bernoulli_weight(p["k"], p["s"], p["m"], cap=cap),
-    ),
-    "binomial-weight": (_grid_binomial_weight, lambda p, cap, tol: check_binomial_weight(p["k"], p["s"], tol=tol)),
-    "multisection": (_grid_multisection, lambda p, cap, tol: check_multisection(p["n"], p["r"], tol=tol)),
-    "exp-weight": (
-        _grid_exp_weight,
-        lambda p, cap, tol: check_exp_weight(p["k"], p["s"], p["n"], cap=cap, tol=tol),
-    ),
-    "mu-log-lemma": (_grid_mu_log_lemma, lambda p, cap, tol: check_mu_log_lemma(p["k"], p["s"])),
-    "multivariate": (_grid_multivariate, lambda p, cap, tol: check_multivariate(p["ks"], p["s"], p["r"], cap=cap)),
-    "g-multiplicative": (
-        _grid_g_multiplicative,
-        lambda p, cap, tol: check_g_multiplicative(p["ks"], p["ks2"], p["s"], p["m"]),
-    ),
-    "power-sum": (_grid_power_sum, lambda p, cap, tol: check_power_sum(p["N"], p["r"])),
-    "coprime-power-sum": (_grid_coprime_power_sum, lambda p, cap, tol: check_coprime_power_sum(p["n"], p["r"])),
+    "gamma-weight": (_grid_gamma_weight, lambda p, cap, tol: check_gamma_weight(**p, cap=cap, tol=tol)),
+    "gauss-product": (_grid_gauss_product, lambda p, cap, tol: check_gauss_product(**p, tol=tol)),
+    "bernoulli-weight": (_grid_bernoulli_weight, lambda p, cap, tol: check_bernoulli_weight(**p, cap=cap)),
+    "binomial-weight": (_grid_binomial_weight, lambda p, cap, tol: check_binomial_weight(**p, tol=tol)),
+    "multisection": (_grid_multisection, lambda p, cap, tol: check_multisection(**p, tol=tol)),
+    "exp-weight": (_grid_exp_weight, lambda p, cap, tol: check_exp_weight(**p, cap=cap, tol=tol)),
+    "mu-log-lemma": (_grid_mu_log_lemma, lambda p, cap, tol: check_mu_log_lemma(**p)),
+    "multivariate": (_grid_multivariate, lambda p, cap, tol: check_multivariate(**p, cap=cap)),
+    "g-multiplicative": (_grid_g_multiplicative, lambda p, cap, tol: check_g_multiplicative(**p)),
+    "power-sum": (_grid_power_sum, lambda p, cap, tol: check_power_sum(**p)),
+    "coprime-power-sum": (_grid_coprime_power_sum, lambda p, cap, tol: check_coprime_power_sum(**p)),
 }
 
 ALL_IDENTITIES = tuple(_REGISTRY)
@@ -659,7 +657,7 @@ def _run_point(point) -> CheckResult:
 
 def is_finding(result: CheckResult) -> bool:
     """Non-fatal expected mismatch: the log-weight family at s >= 2."""
-    return (not result.passed) and result.identity == "log-weight" and result.params.get("s", 1) >= 2
+    return not result.passed and _predicted_defect(result.identity, result.params)
 
 
 def run_suite(cfg: SuiteConfig) -> IdentityReport:
@@ -686,62 +684,53 @@ def run_suite(cfg: SuiteConfig) -> IdentityReport:
 
 # ---------------------------------------------------------------- rendering
 
-_CSV_COLUMNS = ("identity", "params", "lhs", "rhs", "residual", "mode", "pass", "classification")
-_HUMAN_COLUMNS = ("identity", "params", "lhs", "rhs", "residual", "classification")
+_COLUMNS = ("identity", "params", "lhs", "rhs", "residual", "mode", "pass", "classification")
+_HUMAN = (0, 1, 2, 3, 4, 7)  # the human table leaves out mode and pass
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _render_exact(v) -> object:
+def _text(v) -> str:
+    """The one text of a result value in every report format.  float.__repr__
+    keeps a numpy float64 to its digits, where repr would wrap them."""
     if isinstance(v, (int, Fraction)):
         return rat_str(v)
     if isinstance(v, LogLinear):
         return str(v)
-    if isinstance(v, complex):
-        return repr(v)
-    return v
+    if isinstance(v, float):
+        return float.__repr__(v)
+    return repr(v)
 
 
-def _result_row(r: CheckResult) -> dict:
-    return {
-        "identity": r.identity,
-        "params": r.params,
-        "lhs": _render_exact(r.lhs),
-        "rhs": _render_exact(r.rhs),
-        "residual": r.residual,
-        "mode": r.mode,
-        "pass": r.passed,
-        "classification": r.classification,
-    }
+def _cells(r: CheckResult) -> list:
+    """The texts of one result's columns, in _COLUMNS order."""
+    params = json.dumps(r.params, sort_keys=True, separators=(",", ":"))
+    passed = "true" if r.passed else "false"
+    return [r.identity, params, _text(r.lhs), _text(r.rhs), _text(r.residual), r.mode, passed, r.classification]
 
 
-def _json_value(v, pad: str) -> str:
-    """v as json.dumps(v, sort_keys=True, indent=2) writes it on a line indented by pad."""
+def _json_text(v) -> str:
+    """_text(v) as a JSON value: bare for a float, as json.dumps writes it, and quoted otherwise."""
+    text = _text(v)
+    return _JSON_FLOATS.get(text, text) if isinstance(v, float) else encode_basestring_ascii(text)
+
+
+def _json_params(v, pad: str) -> str:
+    """params as json.dumps(v, sort_keys=True, indent=2) writes them on a line
+    indented by pad.  Params hold dicts, lists, strings and ints only; any other
+    type raises rather than risk bytes that differ from json.dumps."""
     if isinstance(v, str):
         return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
+    if type(v) is int:
         return int.__repr__(v)
-    if isinstance(v, float):
-        if v != v:
-            return "NaN"
-        if v == math.inf:
-            return "Infinity"
-        if v == -math.inf:
-            return "-Infinity"
-        return float.__repr__(v)
     inner = pad + "  "
-    if isinstance(v, (list, tuple)):
-        items = [_json_value(x, inner) for x in v]
+    if isinstance(v, list):
+        items = [_json_params(x, inner) for x in v]
         brackets = "[]"
     elif isinstance(v, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_json_value(x, inner)}" for key, x in sorted(v.items())]
+        items = [f"{encode_basestring_ascii(key)}: {_json_params(x, inner)}" for key, x in sorted(v.items())]
         brackets = "{}"
     else:
-        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        raise TypeError(f"params hold dicts, lists, strings and ints, not {type(v).__name__}")
     if not items:
         return brackets
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
@@ -761,36 +750,24 @@ _JSON_ROW = """    {{
 
 
 def _json_row(r: CheckResult) -> str:
-    pad = "      "
     return _JSON_ROW.format(
         encode_basestring_ascii(r.classification),
         encode_basestring_ascii(r.identity),
-        _json_value(_render_exact(r.lhs), pad),
+        _json_text(r.lhs),
         encode_basestring_ascii(r.mode),
-        _json_value(r.params, pad),
-        _json_value(r.passed, pad),
-        _json_value(r.residual, pad),
-        _json_value(_render_exact(r.rhs), pad),
+        _json_params(r.params, "      "),
+        "true" if r.passed else "false",
+        _json_text(r.residual),
+        _json_text(r.rhs),
     )
-
-
-def _cells(r: CheckResult) -> dict:
-    """Text of every report column for one result, shared by csv and human."""
-    row = _result_row(r)
-    row["params"] = json.dumps(r.params, sort_keys=True, separators=(",", ":"))
-    for key in ("lhs", "rhs", "residual"):
-        if not isinstance(row[key], str):
-            row[key] = repr(row[key])
-    row["pass"] = "true" if r.passed else "false"
-    return row
 
 
 def render_report(report: IdentityReport, fmt: str = "human") -> str:
     """Serialize a report; bytes depend only on the config and the results."""
     summary = {"pass": report.passed, "fail": report.failed, "findings": report.findings}
     if fmt == "json":
-        # the same bytes as json.dumps(doc, sort_keys=True, indent=2) with the
-        # rows from _result_row: "results" sorts before "suite" and "summary"
+        # the bytes of json.dumps(doc, sort_keys=True, indent=2) over rows of
+        # the same texts: "results" sorts before "suite" and "summary"
         rows = ",\n".join(map(_json_row, report.results))
         results = f'"results": [\n{rows}\n  ]' if rows else '"results": []'
         tail = json.dumps({"suite": report.suite, "summary": summary}, sort_keys=True, indent=2)
@@ -801,17 +778,13 @@ def render_report(report: IdentityReport, fmt: str = "human") -> str:
 
         buf = io.StringIO()
         writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for r in report.results:
-            cells = _cells(r)
-            writer.writerow([cells[c] for c in _CSV_COLUMNS])
+        writer.writerow(_COLUMNS)
+        writer.writerows(map(_cells, report.results))
         return buf.getvalue()
     if fmt == "human":
-        rows = [_HUMAN_COLUMNS]
-        for r in report.results:
-            cells = _cells(r)
-            rows.append([cells[c] for c in _HUMAN_COLUMNS])
-        widths = [max(len(row[i]) for row in rows) for i in range(len(_HUMAN_COLUMNS))]
+        pick = itemgetter(*_HUMAN)
+        rows = [pick(_COLUMNS), *map(pick, map(_cells, report.results))]
+        widths = [max(map(len, column)) for column in zip(*rows)]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
         lines.append(f"summary pass={report.passed} fail={report.failed} findings={report.findings}")
         return "\n".join(lines) + "\n"

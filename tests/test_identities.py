@@ -5,11 +5,14 @@ Closed-form values pinned here were derived by hand from small cases
 so the checkers are exercised against numbers they did not produce.
 """
 
+import csv
+import io
 import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,7 +52,7 @@ from ramsum.identities import (
     run_suite,
     weight_value,
     _exp_spectrum,
-    _result_row,
+    _json_params,
 )
 from ramsum.logspace import LogLinear
 
@@ -185,7 +188,7 @@ class TestGammaWeight:
 
     def test_tolerance_is_relative(self):
         out = check_gamma_weight(6, 1, tol=1e-30)
-        assert not out.passed and out.classification == "finding-mismatch"
+        assert not out.passed and out.classification == "mismatch"
 
 
 class TestGaussProduct:
@@ -580,15 +583,34 @@ class TestSuiteRunner:
 
 class TestJsonTemplate:
     """render_report(fmt="json") writes its rows from one template; json.dumps
-    of the _result_row document is the oracle for its bytes."""
+    of a document built here, sharing no code with the renderer, is the
+    oracle for its bytes."""
 
     @staticmethod
-    def oracle(report):
-        doc = {
-            "suite": report.suite,
-            "results": [_result_row(r) for r in report.results],
-            "summary": {"pass": report.passed, "fail": report.failed, "findings": report.findings},
-        }
+    def value(v):
+        """A result value as the document holds it: a float as a number, any
+        other value as its text."""
+        if isinstance(v, float):
+            return v
+        return repr(v) if isinstance(v, complex) else str(v)
+
+    @classmethod
+    def oracle(cls, report):
+        rows = [
+            {
+                "identity": r.identity,
+                "params": r.params,
+                "lhs": cls.value(r.lhs),
+                "rhs": cls.value(r.rhs),
+                "residual": r.residual,
+                "mode": r.mode,
+                "pass": r.passed,
+                "classification": r.classification,
+            }
+            for r in report.results
+        ]
+        summary = {"pass": report.passed, "fail": report.failed, "findings": report.findings}
+        doc = {"suite": report.suite, "results": rows, "summary": summary}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     SUITE = {"identities": ["alkan", "exp-weight"], "k_max": None, "seed": 91, "tolerance": 1e-08, "cap": 100000}
@@ -610,14 +632,49 @@ class TestJsonTemplate:
             CheckResult("gcd-weight", {"k": 2, "s": 1, "weight": "\u00e9\u2603\U0001f600 \"\\\t"}, 3, 3, 0.0,
                         "exact", True, "verified"),
             CheckResult("gauss-product", {}, 1.5, 1e-05, 1e16, "float", True, "numerical-pass"),
+            CheckResult("gamma-weight", {"k": 3, "s": 1}, np.float64(-0.25), 1e-300, np.float64(0.5), "float", True,
+                        "numerical-pass"),
         ]
         report = IdentityReport(dict(self.SUITE, note="caf\u00e9"), results, 7, 2, 2)
         assert render_report(report, "json") == self.oracle(report)
+        # a numpy float prints its digits in every format, never np.float64(...)
+        for fmt in ("csv", "human"):
+            text = render_report(report, fmt)
+            assert "np.float64" not in text and "-0.25" in text
+
+    @pytest.mark.parametrize("bad", [True, 0.5])
+    def test_params_writer_refuses_other_types(self, bad):
+        # json.dumps writes true and 0.5; the params writer refuses what params never hold
+        with pytest.raises(TypeError):
+            _json_params({"k": 2, "s": bad}, "      ")
 
     def test_empty_result_list(self):
         report = IdentityReport(dict(self.SUITE), [], 0, 0, 0)
         assert render_report(report, "json") == self.oracle(report)
 
-    def test_default_grid(self):
-        report = run_suite(SuiteConfig())
-        assert render_report(report, "json") == self.oracle(report)
+    @pytest.fixture(scope="class")
+    def default_report(self):
+        return run_suite(SuiteConfig())
+
+    def test_default_grid(self, default_report):
+        assert render_report(default_report, "json") == self.oracle(default_report)
+
+    def test_csv_cells_match_json_values(self, default_report):
+        header, *cells = csv.reader(io.StringIO(render_report(default_report, "csv")))
+        rows = json.loads(render_report(default_report, "json"))["results"]
+        assert header == ["identity", "params", "lhs", "rhs", "residual", "mode", "pass", "classification"]
+        assert len(cells) == len(rows) == len(default_report.results)
+        kinds = set()
+        for line, row in zip(cells, rows):
+            for name, cell in zip(header, line):
+                value = row[name]
+                kinds.add(type(value))
+                if name == "pass":
+                    assert cell == ("true" if value else "false")
+                elif name == "params":
+                    assert cell == json.dumps(value, sort_keys=True, separators=(",", ":"))
+                elif isinstance(value, float):
+                    assert cell == float.__repr__(value)
+                else:
+                    assert cell == value
+        assert kinds == {str, float, bool, dict}
