@@ -4,9 +4,10 @@ the default grid and `--k-max 120`, each in json, csv and human form.
     python3 scripts/report_digests.py
 
 Each report is rendered at `--jobs 1` and at `--jobs 2`.  One line per
-report gives its grid, format and digest; the run exits 1 when the two job
-counts give different bytes, or when a run neither passes (exit 0) nor ends
-in a verify failure (exit 2).
+report gives its grid, format and digest; the run exits 1 when a digest
+differs from its pinned value in PINNED, when the two job counts give
+different bytes, or when a run neither passes (exit 0) nor ends in a verify
+failure (exit 2).  A change meant to alter report bytes updates PINNED.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ import sys
 
 GRIDS = (("default", []), ("k-max-120", ["--k-max", "120"]))
 FORMATS = ("human", "json", "csv")
+PINNED = {
+    ("default", "human"): "250fffd80bc3db312dd1feacab1133064034792d0768f8a57c9b3c491821f2cd",
+    ("default", "json"): "b3fc5866593fba043d68c24407176f8469b5d6421ca763f3be50dcb56105d2ff",
+    ("default", "csv"): "517ad81430772a2a48ce6a0c0db5aa4339c791da667a88f2bd485fda0ae10e20",
+    ("k-max-120", "human"): "77728176c3968a70a649099389b85ccdf902643ab59a089f1ba93f469763c3da",
+    ("k-max-120", "json"): "6e0f7ef15846e5f7753f1214986f70556918bfc99d2e0a9447524120f0eb5658",
+    ("k-max-120", "csv"): "2f0c769b897f97241cd5629beb7292e47180f68db6c5519d0c6e2a77bc69e610",
+}
 
 
 def digest(root: str, env: dict, extra: list, fmt: str, jobs: int) -> str:
@@ -39,6 +48,9 @@ def main() -> int:
             print(f"{grid:<10} {fmt:<5} {one}")
             if one != two:
                 print(f"{grid:<10} {fmt:<5} {two} at --jobs 2 differs")
+                status = 1
+            if one != PINNED[grid, fmt]:
+                print(f"{grid:<10} {fmt:<5} {PINNED[grid, fmt]} is pinned, differs")
                 status = 1
     return status
 

@@ -8,13 +8,16 @@ factors each one exactly once and every value stays an exact Python int.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress
 from math import gcd, isqrt
 
-import numpy as np
+from .errors import ResourceLimitError
 
-DEFAULT_SIEVE_LIMIT = 1_000_000
+DEFAULT_SIEVE_LIMIT = 1 << 16  # 6542 primes
+TRIAL_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,32 +49,43 @@ class Factorization:
 
 
 class PrimeSieve:
-    """Smallest-prime-factor table for every n up to ``limit``."""
+    """The primes up to ``limit``, and factorization by trial division by them."""
 
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("sieve limit must be at least 2")
         self.limit = int(limit)
-        spf = np.arange(self.limit + 1, dtype=np.int64)
+        flags = bytearray([1]) * (self.limit + 1)
+        flags[:2] = b"\0\0"
         for p in range(2, isqrt(self.limit) + 1):
-            if spf[p] == p:
-                idx = np.arange(p * p, self.limit + 1, p)
-                unclaimed = spf[idx] == idx
-                spf[idx[unclaimed]] = p
-        self._spf = spf
+            if flags[p]:
+                flags[p * p :: p] = bytes((self.limit - p * p) // p + 1)
+        self.primes = list(compress(range(self.limit + 1), flags))
 
     def factorize(self, n: int) -> Factorization:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
+        """Factor n >= 1 by the primes, then by the odd numbers after them up
+        to bound = max(TRIAL_LIMIT, limit); a cofactor past bound^2 with no
+        factor up to bound raises ResourceLimitError, so every call is bounded.
+        """
+        bound = max(TRIAL_LIMIT, self.limit)
+        # (last + 1) | 1, not (last | 1) + 2, which skips 3 when the primes are [2]
+        odd = range((self.primes[-1] + 1) | 1, bound + 1, 2)
         m = n
         factors = []
-        while m > 1:
-            p = int(self._spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
+        for p in chain(self.primes, odd):
+            if p * p > m:
+                break
+            if m % p == 0:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                factors.append((p, e))
+        # m has no prime factor up to bound, so m <= bound^2 is 1 or a prime
+        if m > bound * bound:
+            raise ResourceLimitError(f"cannot factor: a cofactor past {bound}^2 has no prime factor up to {bound}")
+        if m > 1:
+            factors.append((m, 1))
         return Factorization(n, tuple(factors))
 
 
@@ -89,37 +103,24 @@ def configure_default_sieve(limit: int) -> PrimeSieve:
     return _default_sieve
 
 
-def _trial_factorize(n: int) -> Factorization:
-    m = n
-    factors = []
-    for p in (2, 3):
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-    f = 5
-    while f * f <= m:
-        for p in (f, f + 2):
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e:
-                factors.append((p, e))
-        f += 6
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+def _shared_sieve() -> PrimeSieve:
+    """The sieve factorize and primes_up_to read, built at DEFAULT_SIEVE_LIMIT
+    on first use unless configure_default_sieve already set one."""
+    global _default_sieve
+    sieve = _default_sieve
+    if sieve is None:
+        with _sieve_lock:
+            if _default_sieve is None:
+                _default_sieve = PrimeSieve(DEFAULT_SIEVE_LIMIT)
+            sieve = _default_sieve
+    return sieve
 
 
 def factorize(n: int) -> Factorization:
-    """Factor a positive integer, preferring the shared sieve when n is in range.
+    """Factor a positive integer by the shared sieve (PrimeSieve.factorize).
 
-    The first call builds that sieve at DEFAULT_SIEVE_LIMIT unless
-    configure_default_sieve already set one.  Each result is memoized and
-    shared: every route to c_k^(s)(j) reads the factorization of k.
+    Each result is memoized and shared: every route to c_k^(s)(j) reads the
+    factorization of k.
     """
     if n < 1:
         raise ValueError(f"cannot factor n={n}, need n >= 1")
@@ -130,29 +131,17 @@ def factorize(n: int) -> Factorization:
 # eviction; a scatter of fresh k reuses each one only within its own point
 @lru_cache(maxsize=1024)
 def _factor(n: int) -> Factorization:
-    global _default_sieve
-    if n == 1:
-        return Factorization(1, ())
-    sieve = _default_sieve
-    if sieve is None:
-        with _sieve_lock:
-            if _default_sieve is None:
-                _default_sieve = PrimeSieve(DEFAULT_SIEVE_LIMIT)
-            sieve = _default_sieve
-    if n <= sieve.limit:
-        return sieve.factorize(n)
-    return _trial_factorize(n)
+    return _shared_sieve().factorize(n)
 
 
 def primes_up_to(limit: int) -> list[int]:
+    """The primes <= limit, ascending, from the shared sieve up to its limit."""
     if limit < 2:
         return []
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].tolist()
+    sieve = _shared_sieve()
+    if limit > sieve.limit:
+        return PrimeSieve(limit).primes
+    return sieve.primes[: bisect_right(sieve.primes, limit)]
 
 
 def divisors(fac: Factorization) -> list[int]:

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from ramsum import arith
 from ramsum.arith import (
+    DEFAULT_SIEVE_LIMIT,
     Factorization,
     PrimeSieve,
     configure_default_sieve,
@@ -28,6 +29,7 @@ from ramsum.arith import (
     tau_sigma,
     von_mangoldt,
 )
+from ramsum.errors import ResourceLimitError
 from ramsum.logspace import LogLinear, log_of_integer
 
 
@@ -48,6 +50,10 @@ def brute_factorize(n):
     return tuple(out)
 
 
+def is_prime(n):
+    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
 def brute_divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -66,7 +72,7 @@ def brute_phi(n):
 class TestFactorize:
     @given(st.integers(min_value=1, max_value=2_000_000))
     def test_matches_trial_division(self, n):
-        # past the 10^6 sieve too; the second call is answered from the memo
+        # past the 2^16 primes too; the second call is answered from the memo
         for fac in (factorize(n), factorize(n)):
             assert fac.value == n
             assert fac.factors == brute_factorize(n)
@@ -89,13 +95,34 @@ class TestFactorize:
             Factorization(6, ((3, 1), (2, 1)))
 
     def test_large_input_beyond_sieve(self):
-        # falls back to trial division past the sieve limit
+        # trial division runs on through the odd numbers past the sieve limit
         configure_default_sieve(1000)
         try:
             n = 1_000_003 * 7
             assert factorize(n).factors == ((7, 1), (1_000_003, 1))
         finally:
-            configure_default_sieve(1_000_000)
+            configure_default_sieve(DEFAULT_SIEVE_LIMIT)
+
+    def test_smallest_sieve_skips_no_odd_number(self):
+        # the primes are [2], so the odd run must start at 3, not at 5
+        configure_default_sieve(2)
+        try:
+            assert factorize(9).factors == ((3, 2),)
+            assert factorize(25).factors == ((5, 2),)
+            assert factorize(1009 * 1013).factors == ((1009, 1), (1013, 1))
+            assert factorize(7 * 1_000_003).factors == ((7, 1), (1_000_003, 1))
+        finally:
+            configure_default_sieve(DEFAULT_SIEVE_LIMIT)
+
+    def test_refuses_a_cofactor_past_the_trial_bound(self):
+        # 1048583 and 1048589 are the first primes past 2^20; their product
+        # passes 2^40 with no factor up to 2^20, so its factors are unknown
+        n = 1_048_583 * 1_048_589
+        with pytest.raises(ResourceLimitError) as err:
+            factorize(n)
+        assert str(n) not in str(err.value)
+        assert factorize(2**20 * 1_048_583).factors == ((2, 20), (1_048_583, 1))
+        assert factorize(1_000_000_000_039).factors == ((1_000_000_000_039, 1),)
 
 
 class TestFactorMemo:
@@ -103,7 +130,7 @@ class TestFactorMemo:
 
     @given(st.integers(min_value=1_000_001, max_value=10**10))
     def test_matches_trial_fallback_past_the_sieve(self, n):
-        assert factorize(n).factors == arith._trial_factorize(n).factors
+        assert factorize(n).factors == brute_factorize(n)
 
     def test_result_is_shared(self):
         assert factorize(360) is factorize(360)
@@ -126,24 +153,24 @@ class TestFactorMemo:
         assert arith._factor.cache_info() == before
 
     def test_configuring_the_sieve_forgets_the_memo(self, monkeypatch):
-        # 510510 is in the default sieve's range but past a 1000-limit one, so
-        # after the sieve shrinks it must come from trial division, not the memo
+        # after the sieve is replaced, 510510 must be factored by the new
+        # sieve, not answered from the memo the old one filled
         calls = []
 
-        def counted(n):
-            calls.append(n)
-            return trial(n)
+        def counted(sieve, n):
+            calls.append((sieve.limit, n))
+            return trial(sieve, n)
 
-        trial = arith._trial_factorize
+        trial = PrimeSieve.factorize
         n = 2 * 3 * 5 * 7 * 11 * 13 * 17
         factorize(n)
-        monkeypatch.setattr(arith, "_trial_factorize", counted)
+        monkeypatch.setattr(PrimeSieve, "factorize", counted)
         configure_default_sieve(1000)
         try:
             assert factorize(n).factors == ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1))
         finally:
-            configure_default_sieve(1_000_000)
-        assert calls == [n]
+            configure_default_sieve(DEFAULT_SIEVE_LIMIT)
+        assert calls == [(1000, n)]
 
 
 class TestSieve:
@@ -151,9 +178,6 @@ class TestSieve:
         assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
     def test_primes_match_trial_division(self):
-        def is_prime(n):
-            return n > 1 and all(n % p for p in range(2, int(n**0.5) + 1))
-
         assert primes_up_to(2000) == [n for n in range(2, 2001) if is_prime(n)]
 
     def test_sieve_factors_agree_with_brute(self):
@@ -161,10 +185,13 @@ class TestSieve:
         for n in range(1, 5001):
             assert sieve.factorize(n).factors == brute_factorize(n)
 
-    def test_sieve_rejects_out_of_range(self):
-        sieve = PrimeSieve(100)
-        with pytest.raises(ValueError):
-            sieve.factorize(101)
+    @pytest.mark.parametrize("limit", [2, 3, 4, 1000, 1 << 16])
+    def test_sieve_primes_match_oracle(self, limit):
+        assert PrimeSieve(limit).primes == [n for n in range(2, limit + 1) if is_prime(n)]
+
+    def test_primes_past_the_shared_sieve(self):
+        limit = DEFAULT_SIEVE_LIMIT + 1000
+        assert primes_up_to(limit) == [n for n in range(2, limit + 1) if is_prime(n)]
 
 
 class TestDivisorFunctions:

@@ -122,6 +122,33 @@ class TestHugeExponent:
         assert out.splitlines()[-1] == "summary pass=6 fail=0 findings=0"
 
 
+class TestHugeModulus:
+    """A k with no prime factor below 2^20 and a cofactor past 2^40 is refused
+    in bounded time; trial division never runs on to sqrt(k)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "csum", "--k", "1000000000000000003", "--j", "3"),
+            ("eval", "jordan", "--n", "2305843009213693951"),
+            ("eval", "gengcd", "--j", "8", "--k", "2305843009213693951", "--s", "2"),
+        ],
+    )
+    def test_refused_in_bounded_time(self, capsys, argv):
+        started = time.perf_counter()
+        code, out, err = run_main(capsys, *argv)
+        assert time.perf_counter() - started < 10
+        assert (code, out) == (1, "")
+        assert err.startswith("ramsum: error: cannot factor") and err.count("\n") == 1
+        # the refusal never prints the modulus, which may pass the int-to-str limit
+        assert "1000000000000000003" not in err and "2305843009213693951" not in err
+
+    def test_prime_below_the_bound_squared_answers(self, capsys):
+        # 1000000000039 is a prime below 2^40: no factor up to 2^20 proves it
+        code, out, _ = run_main(capsys, "eval", "csum", "--k", "1000000000039", "--j", "3")
+        assert (code, out) == (0, "-1\n")
+
+
 class TestDigitBudget:
     """A value or intermediate past sys.get_int_max_str_digits() digits is
     refused with a ResourceLimitError that names the limit."""
