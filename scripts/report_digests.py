@@ -20,9 +20,9 @@ import sys
 GRIDS = (("default", []), ("k-max-120", ["--k-max", "120"]))
 FORMATS = ("human", "json", "csv")
 PINNED = {
-    ("default", "human"): "250fffd80bc3db312dd1feacab1133064034792d0768f8a57c9b3c491821f2cd",
-    ("default", "json"): "b3fc5866593fba043d68c24407176f8469b5d6421ca763f3be50dcb56105d2ff",
-    ("default", "csv"): "517ad81430772a2a48ce6a0c0db5aa4339c791da667a88f2bd485fda0ae10e20",
+    ("default", "human"): "51c79c1aae407a7f291fbc6782b0ef10aba0de4c09e5c2912a13da9789890ac4",
+    ("default", "json"): "06b6b9d8aa5c55780dc05ac91e83a510cc4295bc9a89124950d87cd66a7d3a19",
+    ("default", "csv"): "4aa3e77e301a31eadcdaa19d12bbdf57b6c551bbc2774ea497914b6216f5adfc",
     ("k-max-120", "human"): "77728176c3968a70a649099389b85ccdf902643ab59a089f1ba93f469763c3da",
     ("k-max-120", "json"): "6e0f7ef15846e5f7753f1214986f70556918bfc99d2e0a9447524120f0eb5658",
     ("k-max-120", "csv"): "2f0c769b897f97241cd5629beb7292e47180f68db6c5519d0c6e2a77bc69e610",

@@ -131,7 +131,10 @@ def _parse_ks(text: str) -> tuple:
         part = part.strip()
         if not part:
             continue
-        values = tuple(int(v) for v in part.split(","))
+        try:
+            values = tuple(int(v) for v in part.split(","))
+        except ValueError:
+            values = ()  # not a list of ints
         if not values or any(v < 1 for v in values):
             raise ValueError(f"bad moduli group {part!r}")
         groups.append(values)

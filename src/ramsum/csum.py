@@ -16,11 +16,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import divisors, factorize, gen_gcd, jordan_totient, moebius, moebius_divisors
 from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CAP = 1_000_000
 
@@ -118,6 +120,8 @@ class _DirectContext:
 def _direct_context(k: int, s: int) -> _DirectContext:
     """The boolean mask over m mod k^s of (m, k^s)_s = 1, index 0 standing for
     m = k^s, in a fresh context with no spectrum yet."""
+    import numpy as np
+
     fac = factorize(k)
     mask = np.ones(k**s, dtype=bool)
     for p, _ in fac.factors:
@@ -129,6 +133,8 @@ def _direct_context(k: int, s: int) -> _DirectContext:
 
 def _block_fsum(arr: np.ndarray, block: int = 1024) -> float:
     """Exactly-rounded sum of block partial sums; blocks keep the numpy speed."""
+    import numpy as np
+
     size = arr.size
     if size == 0:
         return 0.0
@@ -144,6 +150,8 @@ def _spectrum(k: int, s: int, mask: np.ndarray) -> np.ndarray:
     every imaginary part vanish to within the FFT's rounding bound
     u log2(K) sqrt(K) ||mask||_2 (Higham, ch. 24), with ||mask||_2 = sqrt(J_s(k)).
     """
+    import numpy as np
+
     X = np.fft.rfft(mask)
     K, J = mask.size, np.count_nonzero(mask)
     bound = 2.0**-52 * math.log2(K) * math.sqrt(K) * math.sqrt(J)
@@ -169,6 +177,8 @@ def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
     r = j % K
     if ctx.spectrum is None:
         if ctx.cold:
+            import numpy as np
+
             ctx.cold = False
             # the same angles, bit for bit, as a table of 2*pi*t/K over t < K
             ang = (2.0 * np.pi / K) * (r * np.flatnonzero(ctx.mask) % K).astype(np.float64)
@@ -227,6 +237,8 @@ class CsumTable:
 
 @lru_cache(maxsize=8)
 def _table(k: int, s: int) -> CsumTable:
+    import numpy as np
+
     divs = divisors(factorize(k))
     arr = np.full(k**s, _moebius_value(k, s, 1), dtype=np.int64)
     for d in divs[1:]:
@@ -281,6 +293,8 @@ class _MomentState:
     """
 
     def __init__(self, *tables: CsumTable):
+        import numpy as np
+
         self.tables = tables
         self.K = math.lcm(*(len(t.array) for t in tables))
         nonzero = [np.tile(t.array != 0, self.K // len(t.array)) for t in self.tables]
@@ -297,6 +311,8 @@ class _MomentState:
 
     def _factors(self) -> list:
         """Each table's values at the kept j, gathered from the table."""
+        import numpy as np
+
         j = self.js.view(np.int64)  # numpy indexes faster with int64
         return [t.array[j if len(t.array) == self.K else j % len(t.array)] for t in self.tables]
 
@@ -306,6 +322,8 @@ class _MomentState:
         self.basis = [P // m * pow(P // m, -1, m) for m in self.moduli]
 
     def _add_prime(self) -> None:
+        import numpy as np
+
         p = _prime_below(min(self.moduli[-1], 1 << 31))
         row = reduce(lambda a, b: a * b % np.uint64(p), [(c % p).astype(np.uint64) for c in self._factors()])
         for _ in self.moments:  # to j^t P(j) at the order t being extended to
@@ -318,6 +336,8 @@ class _MomentState:
         """Append M_t for the next order t."""
         t = len(self.moments)
         if t:
+            import numpy as np
+
             self.wrap *= self.js
             self.residues = self.residues * self.js % np.array(self.moduli[1:], dtype=np.uint64)[:, None]
         while self.product.bit_length() < self.bits + t * self.jbits:

@@ -19,14 +19,24 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import divisors, euler_phi, factorize, jordan_totient, moebius_divisors, tau_sigma, von_mangoldt
 from .csum import CsumTable, _moment_state, _period, csum_moebius, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
-from .exactnum import bernoulli_number, bernoulli_tail, binomial, coprime_power_sum, power_sum, rat_str
+from .exactnum import (
+    _bernoulli_budget,
+    bernoulli_number,
+    bernoulli_tail,
+    binomial,
+    coprime_power_sum,
+    power_sum,
+    rat_str,
+)
 from .logspace import TWO_PI, LogLinear, float_value, log_factorial, mu_log_lemma_sides
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SWEEP_CAP = 100_000
 # hard ceilings of three checks, read by their grids too: binomial-weight k^s,
@@ -175,6 +185,8 @@ def check_log_weight(k: int, s: int) -> CheckResult:
 
 def check_gcd_weight(k: int, s: int, f: WeightFunctionSpec, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
     """sum_{j<=k^s} f(gengcd^s) c_k^(s)(j) against J_s(k) [(f o N^s) * (mu o N^s)](k)."""
+    import numpy as np
+
     K = _period(k, s, cap, "the gcd-weight sum")
     vals = csum_table(k, s, cap).array
     fac = factorize(k)
@@ -301,6 +313,8 @@ def check_multisection(n: int, r: int, tol: float | None = None) -> CheckResult:
 def _exp_spectrum(table: CsumTable) -> np.ndarray:
     """X[n] = (1/K) sum_{j<K} c_k^(s)(j) e(jn/K) for n < K = k^s: numpy's inverse
     FFT of one period table, read-only and shared by every exp-weight point of it."""
+    import numpy as np
+
     spec = np.fft.ifft(table.array)
     spec.flags.writeable = False
     return spec
@@ -532,14 +546,15 @@ def _grid_gauss_product(cfg):
 
 
 def _grid_bernoulli_weight(cfg):
-    mvals = range(_mmax(cfg, 6) + 1)
-    return [{"k": k, "m": m, "s": s} for k, s, _ in _capped_ks(cfg, "bernoulli-weight") for m in mvals]
+    m_max = _mmax(cfg, 6)
+    # refuse before any point runs a B_m that eval bernoulli would refuse
+    _bernoulli_budget(m_max)
+    return [{"k": k, "m": m, "s": s} for k, s, _ in _capped_ks(cfg, "bernoulli-weight") for m in range(m_max + 1)]
 
 
 def _grid_binomial_weight(cfg):
-    # default sweep stays at k^s <= 64; explicit ranges may reach the hard cap
-    hard = 64 if cfg.k_max is None and cfg.s is None and cfg.s_max is None else _BINOMIAL_CAP
-    return [{"k": k, "s": s} for k, s, _ in _capped_ks(cfg, "binomial-weight", s_default=6, cap=min(hard, cfg.cap))]
+    cap = min(_BINOMIAL_CAP, cfg.cap)
+    return [{"k": k, "s": s} for k, s, _ in _capped_ks(cfg, "binomial-weight", s_default=6, cap=cap)]
 
 
 def _grid_multisection(cfg):

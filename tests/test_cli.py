@@ -244,6 +244,22 @@ class TestBernoulliBudget:
         assert (code, out) == (1, "") and "decimal digits" in err
         assert len(exactnum._bern) == 2
 
+    def test_verify_refuses_the_grid_before_any_point(self, capsys, monkeypatch):
+        # the grid's largest m meets the budget eval bernoulli applies, so no
+        # point of an unprintable grid starts the tangent pass
+        from ramsum import identities
+
+        def never(m):
+            raise AssertionError("B_m was computed")
+
+        monkeypatch.setattr(identities, "bernoulli_number", never)
+        started = time.perf_counter()
+        code, out, err = run_main(capsys, "verify", "bernoulli-weight", "--m-max", "3000", "--k-max", "2")
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert run_main(capsys, "eval", "bernoulli", "--m", "3000") == (1, "", err)
+        assert err.startswith("ramsum: error: ") and err.count("\n") == 1
+
     def test_negative_m_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "bernoulli", "--m", "-1"])
@@ -362,6 +378,11 @@ class TestVerify:
         code, _, err = run_main(capsys, "verify", "multivariate", "--ks", "0,3")
         assert code == 1 and "moduli" in err
 
+    @pytest.mark.parametrize("ks, bad", [("2,x", "2,x"), ("2;;3,", "3,")])
+    def test_unparsed_ks_names_the_group(self, capsys, ks, bad):
+        code, out, err = run_main(capsys, "verify", "multivariate", "--ks", ks)
+        assert (code, out, err) == (1, "", f"ramsum: error: bad moduli group {bad!r}\n")
+
     def test_weights_flag(self, capsys):
         code, out, _ = run_main(
             capsys,
@@ -396,10 +417,10 @@ def test_exact_rows_of_default_report_are_pinned(capsys):
         for row in json.loads(out)["results"]
         if row["mode"] == "exact"
     ]
-    assert len(rows) == 3326
+    assert len(rows) == 3339
     text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5f29b9624a8c11207ed93555dbf41687a3fb086114ef59d184e5f3613b91f931"
+        "1fa6f777f65a04bcd1230a022e8b9392b0d81a451372599a6a853afb1b7b6958"
     )
 
 
@@ -598,6 +619,32 @@ class TestSubprocessInvocation:
         four = subprocess.run(base + ["--jobs", "4"], capture_output=True)
         assert one.returncode == two.returncode == four.returncode == 0
         assert one.stdout == two.stdout == four.stdout
+
+    @pytest.mark.parametrize(
+        "argv, loads",
+        [
+            (("eval", "jordan", "--n", "6", "--s", "2"), False),
+            (("eval", "gengcd", "--j", "4", "--k", "6", "--s", "2"), False),
+            (("eval", "bernoulli", "--m", "12"), False),
+            (("eval", "theta", "--k", "4", "--n", "3"), False),
+            (("eval", "csum", "--k", "30", "--j", "7", "--s", "2", "--method", "moebius"), False),
+            (("eval", "csum", "--k", "30", "--j", "7", "--s", "2", "--method", "hoelder"), False),
+            (("eval", "csum", "--k", "30", "--j", "7", "--s", "2", "--method", "direct"), True),
+            (("table", "--k", "6"), True),
+        ],
+        ids=["jordan", "gengcd", "bernoulli", "theta", "moebius", "hoelder", "direct", "table"],
+    )
+    def test_numpy_is_loaded_only_to_build_periods(self, argv, loads):
+        # the exact routes never build an array, so they never pay numpy's import
+        code = (
+            "import sys, ramsum, ramsum.cli\n"
+            "imported = 'numpy' in sys.modules\n"
+            f"rc = ramsum.cli.main({list(argv)!r})\n"
+            "print(rc, imported, 'numpy' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == f"0 False {loads}"
 
     def test_import_leaves_out_the_process_pool(self):
         # concurrent.futures is imported only by a run_suite with jobs > 1

@@ -503,6 +503,13 @@ class TestSuiteRunner:
         cfg = SuiteConfig(identities=("multivariate",), k_min=7, k_max=12)
         assert {reduce_lcm(p[1]["ks"]) for p in build_grid(cfg)} == {m for m in lcms if 7 <= m <= 12}
 
+    @pytest.mark.parametrize("identity", ALL_IDENTITIES)
+    def test_naming_the_default_upper_k_keeps_the_grid(self, identity):
+        # a grid with no default upper k does not read --k-max at all
+        base = build_grid(SuiteConfig(identities=(identity,)))
+        named = build_grid(SuiteConfig(identities=(identity,), k_max=DEFAULT_K_MAX.get(identity, 1)))
+        assert base and named == base
+
     def test_weight_grid_resolves_s_placeholder(self):
         cfg = SuiteConfig(identities=("gcd-weight",), k_max=3, s_max=2, weights=("power:s",))
         points = build_grid(cfg)
