@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import TYPE_CHECKING
 
-from .arith import divisors, factorize, gen_gcd, jordan_totient, moebius, moebius_divisors
+from .arith import factorize, gen_gcd, jordan_totient, moebius, moebius_divisors
 from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
 
 if TYPE_CHECKING:
@@ -239,10 +239,9 @@ class CsumTable:
 def _table(k: int, s: int) -> CsumTable:
     import numpy as np
 
-    divs = divisors(factorize(k))
-    arr = np.full(k**s, _moebius_value(k, s, 1), dtype=np.int64)
-    for d in divs[1:]:
-        arr[:: d**s] = _moebius_value(k, s, d)
+    arr = np.zeros(k**s, dtype=np.int64)
+    for d, m in moebius_divisors(factorize(k)):  # Cohen's term d^s mu(k/d) on the j with d^s | j
+        arr[:: d**s] += d**s * m
     arr.flags.writeable = False
     return CsumTable(k, s, arr)
 
@@ -360,7 +359,7 @@ def _moment_state(*tables: CsumTable) -> _MomentState:
 
 
 def csum_table(k: int, s: int = 1, cap: int = DEFAULT_CAP) -> CsumTable:
-    """Full period of c_k^(s), filled by overwriting along divisor strides.
+    """Full period of c_k^(s), summed from the Moebius divisors along their strides.
 
     Index j holds c_k^(s)(j); j = 0 holds the value at gen_gcd = k, which is
     J_s(k) mu(1) = J_s(k).  Tables are cached per (k, s); cap only decides

@@ -185,19 +185,13 @@ def check_log_weight(k: int, s: int) -> CheckResult:
 
 def check_gcd_weight(k: int, s: int, f: WeightFunctionSpec, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
     """sum_{j<=k^s} f(gengcd^s) c_k^(s)(j) against J_s(k) [(f o N^s) * (mu o N^s)](k)."""
-    import numpy as np
-
-    K = _period(k, s, cap, "the gcd-weight sum")
+    _period(k, s, cap, "the gcd-weight sum")
     vals = csum_table(k, s, cap).array
     fac = factorize(k)
-    divs = divisors(fac)
-    gg = np.full(K, 1, dtype=np.int64)
-    for d in divs[1:]:
-        gg[:: d**s] = d
-    lhs = 0
-    for g in divs:
-        fg = weight_value(f, g**s)
-        lhs += fg * int(vals[gg == g].sum())
+    # S[d] sums the table along the stride d^s; the j of gen_gcd g sum to sum_{e | k/g} mu(e) S[g e],
+    # and moebius_divisors of k/g lists the pairs (k/(g e), mu(e))
+    S = {d: int(vals[:: d**s].sum()) for d in divisors(fac)}
+    lhs = sum(weight_value(f, g**s) * sum(m * S[k // d] for d, m in moebius_divisors(factorize(k // g))) for g in S)
     rhs = jordan_totient(s, fac) * sum(weight_value(f, d**s) * mu for d, mu in moebius_divisors(fac))
     params = {"k": k, "s": s, "weight": f.label}
     return _result("gcd-weight", params, lhs, rhs, abs(float(lhs - rhs)), "exact", lhs == rhs)
@@ -484,8 +478,11 @@ def _kvals(cfg: SuiteConfig, identity: str, lo: int = 1) -> range:
     return range(max(lo, cfg.k_min), (cfg.k_max if cfg.k_max is not None else DEFAULT_K_MAX[identity]) + 1)
 
 
-def _rvals(cfg: SuiteConfig, default: int) -> range:
-    return range(1, (cfg.r_max if cfg.r_max is not None else default) + 1)
+def _rvals(cfg: SuiteConfig, default: int, bernoulli: bool = True) -> range:
+    """r = 1..r_max, refused as eval bernoulli refuses B_(r_max) when the points read B_2m, 2m <= r."""
+    rvals = range(1, (cfg.r_max if cfg.r_max is not None else default) + 1)
+    _bernoulli_budget(len(rvals) if bernoulli else 0)
+    return rvals
 
 
 def _nmax(cfg: SuiteConfig, default: int) -> int:
@@ -605,7 +602,9 @@ def _grid_power_sum(cfg):
 
 
 def _grid_coprime_power_sum(cfg):
-    return [{"n": n, "r": r} for n in range(1, _nmax(cfg, 100) + 1) for r in _rvals(cfg, 4)]
+    nmax = _nmax(cfg, 100)
+    # n = 1 is the single term 1 and reads no Bernoulli number
+    return [{"n": n, "r": r} for n in range(1, nmax + 1) for r in _rvals(cfg, 4, bernoulli=nmax >= 2)]
 
 
 # The identity registry, in "all" order: id -> (grid builder, check).  A grid

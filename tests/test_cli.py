@@ -260,6 +260,41 @@ class TestBernoulliBudget:
         assert run_main(capsys, "eval", "bernoulli", "--m", "3000") == (1, "", err)
         assert err.startswith("ramsum: error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power-sum", "--n-max", "1"],
+            ["alkan-classical", "--k-max", "1"],
+            ["alkan", "--k-max", "1"],
+            ["multivariate", "--ks", "2,3"],
+            ["coprime-power-sum", "--n-max", "2"],
+        ],
+    )
+    def test_verify_refuses_an_r_grid_before_any_point(self, capsys, monkeypatch, argv):
+        # the largest r meets the same budget: these points read B_2m up to 2m <= r
+        from ramsum import exactnum, identities
+
+        def never(m):
+            raise AssertionError("B_m was computed")
+
+        monkeypatch.setattr(identities, "bernoulli_number", never)
+        monkeypatch.setattr(exactnum, "bernoulli_number", never)
+        started = time.perf_counter()
+        code, out, err = run_main(capsys, "verify", *argv, "--r-max", "3000")
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert run_main(capsys, "eval", "bernoulli", "--m", "3000") == (1, "", err)
+
+    def test_coprime_power_sum_at_n_1_reads_no_bernoulli_number(self, capsys, monkeypatch):
+        from ramsum import exactnum
+
+        def never(m):
+            raise AssertionError("B_m was computed")
+
+        monkeypatch.setattr(exactnum, "bernoulli_number", never)
+        code, out, _ = run_main(capsys, "verify", "coprime-power-sum", "--n-max", "1", "--r-max", "3000")
+        assert code == 0 and out.endswith("summary pass=3000 fail=0 findings=0\n")
+
     def test_negative_m_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "bernoulli", "--m", "-1"])

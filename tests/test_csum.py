@@ -284,7 +284,7 @@ class TestTable:
         table = csum_table(k, s)
         assert len(table.values) == k**s
         for j, v in enumerate(table.values):
-            assert v == csum_moebius(k, j, s)
+            assert v == csum_moebius(k, j, s) == csum_hoelder(k, j, s)
 
     def test_example_period(self):
         assert csum_table(4, 1).values == (2, 0, -2, 0)

@@ -24,6 +24,7 @@ from ramsum.identities import (
     ALL_IDENTITIES,
     DEFAULT_K_MAX,
     DEFAULT_TUPLES,
+    DEFAULT_WEIGHTS,
     CheckResult,
     IdentityReport,
     SuiteConfig,
@@ -258,6 +259,7 @@ class TestMomentPass:
                 assert check_alkan_classical(k, r).lhs == lhs, r
 
     def test_flipped_table_entry_fails_the_checks(self, monkeypatch):
+        # every checker that reads a period table must see one wrong entry
         from ramsum import csum
 
         build = csum._table
@@ -273,6 +275,13 @@ class TestMomentPass:
         for r in range(1, 4):
             assert not check_alkan_generalized(6, 1, r).passed, r
             assert not check_alkan_classical(6, r).passed, r
+            assert not check_multivariate([2, 3], 1, r).passed, r
+        for token in DEFAULT_WEIGHTS:
+            assert not check_gcd_weight(6, 1, parse_weight(token.replace(":s", ":1"))).passed, token
+        assert not check_gamma_weight(6, 1).passed
+        assert not check_binomial_weight(6, 1).passed
+        for n in range(6):
+            assert not check_exp_weight(6, 1, n).passed, n
 
 
 class TestBinomialWeight:
