@@ -204,7 +204,13 @@ def _cmd_verify(args) -> int:
     empty = [identity for identity in resolve_identities([args.identity]) if identity not in seen]
     if empty:
         raise ValueError(f"no points to check in the {', '.join(empty)} grid under these flags")
-    sys.stdout.write(render_report(report, args.format))
+    try:
+        text = render_report(report, args.format)
+    except ValueError:
+        # as in _cmd_eval, only the int-to-str digit limit makes rendering raise
+        _refuse_past_digit_limit("a report value passes")
+        raise
+    sys.stdout.write(text)
     if report.failed:
         return 2
     if report.findings and args.strict_findings:

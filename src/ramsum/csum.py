@@ -225,15 +225,6 @@ class CsumTable:
     def values(self) -> tuple:
         return tuple(self.array.tolist())
 
-    def moments(self, n: int) -> list:
-        """The literal moments M_t = sum_{0<=j<k^s} j^t c_k^(s)(j) for t = 0..n, as ints.
-
-        The one-factor case of _MomentState: each order not yet cached for
-        this table costs one multiply-by-j sweep over its nonzero entries in
-        every modulus, and a CRT lift.
-        """
-        return _moment_state(self).upto(n)
-
 
 @lru_cache(maxsize=8)
 def _table(k: int, s: int) -> CsumTable:
@@ -246,45 +237,20 @@ def _table(k: int, s: int) -> CsumTable:
     return CsumTable(k, s, arr)
 
 
-@lru_cache(maxsize=None)
-def _prime_below(n: int) -> int:
-    """The largest prime below n, for 67 < n <= 2^32.
-
-    Miller-Rabin to the bases 2, 7 and 61 has no false positive below
-    4759123141 (Jaeschke 1993), so the answer is exact.
-    """
-    p = (n - 2) | 1
-    while True:
-        d, r = p - 1, 0
-        while d % 2 == 0:
-            d, r = d // 2, r + 1
-        for a in (2, 7, 61):
-            x = pow(a, d, p)
-            if x == 1 or x == p - 1:
-                continue
-            for _ in range(r - 1):
-                x = x * x % p
-                if x == p - 1:
-                    break
-            else:
-                break  # a witnesses that p is composite
-        else:
-            return p
-        p -= 2
-
-
 class _MomentState:
     """The moments M_t = sum_{0<=j<K} j^t P(j) of the product period
     P(j) = prod_i c_i(j mod K_i) of one or more tables, K the lcm of their
     lengths K_i (one table is the one-factor case), exact from residues:
     j^t P(j) over the j where every factor is nonzero is kept modulo 2^64
-    (uint64 wrap-around) and modulo primes below 2^31, and each M_t is
-    lifted to a signed int by the CRT.
+    (uint64 wrap-around) and modulo odd moduli below 2^31, and each M_t is
+    lifted to a signed int by the CRT, which needs the moduli pairwise
+    coprime, not prime.
 
     |M_t| <= (K-1)^t n prod_i max|c_i| over the n nonzero entries, so M_t is
     the unique residue of absolute value below half the moduli's product once
     that product has 2 + t*bitlen(K-1) + bitlen(n) + sum_i bitlen(max|c_i|)
-    bits; primes are added, largest first, as the order grows.  A residue
+    bits; moduli are added as the order grows, each the next odd number below
+    the last, from 2^31 - 1, that is coprime to the moduli's product.  A residue
     below 2^31 times another, or times a j < K < 2^33 (a period of fewer than
     64 GiB), fits in uint64, and so does a sum of n such residues.  The
     factor values are gathered from the tables whenever a modulus needs them,
@@ -320,15 +286,17 @@ class _MomentState:
         self.product = P
         self.basis = [P // m * pow(P // m, -1, m) for m in self.moduli]
 
-    def _add_prime(self) -> None:
+    def _add_modulus(self) -> None:
         import numpy as np
 
-        p = _prime_below(min(self.moduli[-1], 1 << 31))
-        row = reduce(lambda a, b: a * b % np.uint64(p), [(c % p).astype(np.uint64) for c in self._factors()])
+        m = (min(self.moduli[-1], 1 << 31) - 2) | 1
+        while math.gcd(m, self.product) != 1:
+            m -= 2
+        row = reduce(lambda a, b: a * b % np.uint64(m), [(c % m).astype(np.uint64) for c in self._factors()])
         for _ in self.moments:  # to j^t P(j) at the order t being extended to
-            row = row * self.js % np.uint64(p)
+            row = row * self.js % np.uint64(m)
         self.residues = np.vstack([self.residues, row])
-        self.moduli.append(p)
+        self.moduli.append(m)
         self._lift_basis()
 
     def extend(self) -> None:
@@ -340,7 +308,7 @@ class _MomentState:
             self.wrap *= self.js
             self.residues = self.residues * self.js % np.array(self.moduli[1:], dtype=np.uint64)[:, None]
         while self.product.bit_length() < self.bits + t * self.jbits:
-            self._add_prime()
+            self._add_modulus()
         sums = [int(self.wrap.sum())] + [int(row.sum()) % p for row, p in zip(self.residues, self.moduli[1:])]
         x = sum(r * e for r, e in zip(sums, self.basis)) % self.product
         self.moments.append(x - self.product if 2 * x > self.product else x)

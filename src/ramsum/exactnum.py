@@ -11,7 +11,7 @@ import threading
 from fractions import Fraction
 from math import comb, prod
 
-from .arith import factorize
+from .arith import factorize, primes_up_to
 from .errors import InternalConsistencyError, _refuse_past_digit_limit
 
 def rat_str(q) -> str:
@@ -85,8 +85,7 @@ def _bernoulli_budget(m: int) -> None:
     def past(limit: int) -> bool:
         if digits + math.log10(6) >= limit:
             return True
-        ds = {e for d in range(1, math.isqrt(n) + 1) if n % d == 0 for e in (d, n // d)}
-        primes = [d + 1 for d in ds if all((d + 1) % q for q in range(2, math.isqrt(d + 1) + 1))]
+        primes = [p for p in primes_up_to(n + 1) if n % (p - 1) == 0]
         return digits + sum(map(math.log10, primes)) >= limit
 
     _refuse_past_digit_limit(f"the tangent-number pass up to B_{m} would build a numerator past", past)

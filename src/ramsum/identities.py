@@ -125,14 +125,20 @@ def _result(identity: str, params: dict, lhs, rhs, residual: float, mode: str, p
 # ---------------------------------------------------------------- weighted averages
 
 
+def _power_weight_lhs(tables, K: int, r: int) -> Fraction:
+    """(1/K^(r+1)) sum_{1<=j<=K} j^r P(j) for the product period P of the
+    tables: the moment M_r over 0 <= j < K, with j = K read as P(0)."""
+    P0 = math.prod(int(t.array[0]) for t in tables)
+    return Fraction(_moment_state(*tables).upto(r)[r] + K**r * P0, K ** (r + 1))
+
+
 def _alkan_sides(k: int, s: int, r: int, cap: int, what: str) -> tuple:
     """Both sides of the power-weight identity with K = k^s: the literal
     (1/K^(r+1)) sum_{j<=K} j^r c_k^(s)(j) and the J_s closed form."""
     if r < 1:
         raise ValueError("r must be positive")
     K = _period(k, s, cap, what)
-    table = csum_table(k, s, cap)
-    lhs = Fraction(table.moments(r)[r] + K**r * int(table.array[0]), K ** (r + 1))
+    lhs = _power_weight_lhs((csum_table(k, s, cap),), K, r)
     fac = factorize(k)
     tail = bernoulli_tail(r, lambda m: Fraction(jordan_totient(2 * m * s, fac), K ** (2 * m)))
     return lhs, Fraction(jordan_totient(s, fac), 2 * K) + tail
@@ -251,7 +257,7 @@ def check_bernoulli_weight(k: int, s: int, m: int, cap: int = DEFAULT_SWEEP_CAP)
     if m < 0:
         raise ValueError("m must be nonnegative")
     K = _period(k, s, cap, "the Bernoulli-weight sum")
-    moments = csum_table(k, s, cap).moments(m)
+    moments = _moment_state(csum_table(k, s, cap)).upto(m)
     a, D = _bernoulli_integer_coefficients(m)
     total = sum(a_i * K**i * M for i, (a_i, M) in enumerate(zip(a, reversed(moments))))
     lhs = Fraction(total, D * K ** (m + 1))
@@ -362,10 +368,7 @@ def check_multivariate(ks, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Chec
         raise ValueError("r must be positive")
     k = reduce(math.lcm, ks, 1)
     K = _period(k, s, cap, "the multivariate power-weight sum")
-    tables = [csum_table(ki, s, cap) for ki in ks]
-    # M_r of the product period P over 0 <= j < K, and j = K reads P(0)
-    P0 = math.prod(int(t.array[0]) for t in tables)
-    lhs = Fraction(_moment_state(*tables).upto(r)[r] + K**r * P0, K ** (r + 1))
+    lhs = _power_weight_lhs([csum_table(ki, s, cap) for ki in ks], K, r)
     prod_j = math.prod(jordan_totient(s, factorize(ki)) for ki in ks)
     rhs = Fraction(prod_j, 2 * K) + bernoulli_tail(r, lambda m: g_divisor_sum(ks, s, m) / Fraction(K) ** (2 * m))
     passed = lhs == rhs

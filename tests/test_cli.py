@@ -163,6 +163,9 @@ class TestDigitBudget:
             ("eval", "jordan", "--n", "6", "--s", "3000000"),
             # under the up-front estimate, past the limit once built
             ("eval", "csum", "--k", "6", "--j", "0", "--s", "6000"),
+            # a report row's exact sides, found past the limit only when rendered
+            ("verify", "gcd-weight", "--weights", "power:5000", "--k-max", "3"),
+            ("verify", "g-multiplicative", "--m-max", "3000", "--tuples", "3"),
         ],
     )
     def test_refused_by_name(self, capsys, argv):
@@ -170,7 +173,8 @@ class TestDigitBudget:
         code, out, err = run_main(capsys, *argv)
         assert time.perf_counter() - started < 1
         assert code == 1 and out == ""
-        assert "sys.get_int_max_str_digits()" in err and "Exceeds the limit" not in err
+        assert f"{sys.get_int_max_str_digits()} decimal digits, the int-to-str limit sys.get_int_max_str_digits()" in err
+        assert "Exceeds the limit" not in err
         assert err.count("\n") == 1
 
     def test_value_under_the_limit_prints(self, capsys):
@@ -217,7 +221,8 @@ class TestBernoulliBudget:
     def test_accepts_exactly_the_printable_numerators(self, capsys, monkeypatch):
         # a refused m is refused by the budget, before B_m is asked for; at a
         # limit of 4296 only B_2062's denominator lifts its bound (4295.84
-        # without it) past the limit its 4300-digit numerator passes
+        # without it) past the limit its 4300-digit numerator passes, and at
+        # 660 only B_456's (653.29 with 6 for D_456) past its 661 digits
         from ramsum import cli, exactnum
 
         exactnum.bernoulli_number(2070)
@@ -225,9 +230,9 @@ class TestBernoulliBudget:
         monkeypatch.setattr(cli, "bernoulli_number", lambda m: asked.append(m) or exactnum.bernoulli_number(m))
         default = sys.get_int_max_str_digits()
         try:
-            for limit in (default, 4296):
+            for limit, ms in ((default, range(2040, 2071, 2)), (4296, range(2040, 2071, 2)), (660, range(440, 471, 2))):
                 sys.set_int_max_str_digits(limit)
-                for m in range(2040, 2071, 2):
+                for m in ms:
                     printable = abs(exactnum._bern[m].numerator) < 10**limit
                     asked.clear()
                     code = run_main(capsys, "eval", "bernoulli", "--m", str(m))[0]

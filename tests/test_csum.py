@@ -9,6 +9,7 @@ import cmath
 import math
 import random
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -322,10 +323,6 @@ def product_moment_oracle(tables, n):
     return [sum(j**t * c for j, c in enumerate(prods) if c) for t in range(n + 1)]
 
 
-def trial_division_is_prime(n):
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
 class TestMoments:
     @pytest.mark.parametrize(
         "k, s, n",
@@ -335,20 +332,20 @@ class TestMoments:
     def test_match_python_int_oracle(self, k, s, n):
         csum._moment_state.cache_clear()
         table = csum_table(k, s)
-        assert table.moments(n) == moment_oracle(table, n)
+        assert csum._moment_state(table).upto(n) == moment_oracle(table, n)
 
     def test_moduli_added_mid_state(self):
         csum._moment_state.cache_clear()
         table = csum_table(30, 3)
         oracle = moment_oracle(table, 12)
-        assert table.moments(4) == oracle[:5]
+        assert csum._moment_state(table).upto(4) == oracle[:5]
         before = len(csum._moment_state(table).moduli)
-        assert table.moments(12) == oracle
+        assert csum._moment_state(table).upto(12) == oracle
         assert len(csum._moment_state(table).moduli) > before
 
     @pytest.mark.parametrize("k, s, n", [(97, 1, 40), (46, 3, 12)])
     def test_one_modulus_too_few_is_wrong(self, k, s, n):
-        # demanding 31 bits less drops one prime below 2^31 from some orders,
+        # demanding 31 bits less drops one modulus below 2^31 from some orders,
         # which must then lift to a wrong M_t
         table = csum_table(k, s)
         state = csum._MomentState(table)
@@ -384,16 +381,17 @@ class TestMoments:
         vals = [t.array.tolist() for t in tables]
         assert state.js.tolist() == [j for j in range(36) if all(v[j % len(v)] for v in vals)]
 
-    def test_moduli_are_the_primes_below_2_31(self):
-        p = 1 << 31
-        for _ in range(4):
-            q = csum._prime_below(p)
-            assert trial_division_is_prime(q)
-            assert not any(trial_division_is_prime(m) for m in range(q + 1, p))
-            p = q
-        for n in range(68, 400):
-            q = csum._prime_below(n)
-            assert trial_division_is_prime(q) and not any(trial_division_is_prime(m) for m in range(q + 1, n))
+    def test_moduli_are_odd_pairwise_coprime_and_below_2_31(self):
+        # the CRT needs coprime moduli, not primes: 2^31 - 3 = 5 * 429496729
+        # is the second; order 400 of K = 97 needs about 90 of them
+        csum._moment_state.cache_clear()
+        table = csum_table(97, 1)
+        assert csum._moment_state(table).upto(400) == moment_oracle(table, 400)
+        moduli = csum._moment_state(table).moduli
+        assert moduli[0] == 1 << 64 and len(moduli) > 80
+        assert all(m % 2 == 1 and m < 1 << 31 for m in moduli[1:])
+        assert all(math.gcd(a, b) == 1 for a, b in combinations(moduli, 2))
+        assert moduli[1:3] == [(1 << 31) - 1, 5 * 429496729]
 
 
 def reduced_moebius(k, j, s):
