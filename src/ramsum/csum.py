@@ -4,9 +4,10 @@ Three independent routes are provided.  The Moebius route sums d^s mu(k/d)
 over divisors d of the generalized gcd; the Hoelder route uses the closed
 form J_s(k) mu(k/e) / J_s(k/e); the direct route adds the k^s-th roots of
 unity over the s-coprime residues with compensated floating point, and
-answers a reused (k, s) from one real FFT of their indicator.  Each
-exact route memoizes only the gcd class it is asked for and shares no
-cached state with the other, so their agreement is an independent check.
+answers a reused (k, s) from one real FFT of their indicator, kept for the
+process under one byte budget.  Each exact route memoizes only the gcd
+class it is asked for and shares no cached state with the other, so their
+agreement is an independent check.
 """
 
 from __future__ import annotations
@@ -108,18 +109,17 @@ def csum_hoelder(k: int, j: int, s: int = 1) -> int:
 
 @dataclass(eq=False)
 class _DirectContext:
-    """One (k, s) of the direct route: the mask of its s-coprime residues and,
-    once the key is asked for a second time, the real half-spectrum of the mask."""
+    """One (k, s) of the direct route: the mask of its s-coprime residues and
+    whether the key has been asked for yet."""
 
     mask: np.ndarray
     cold: bool = True
-    spectrum: np.ndarray | None = None
 
 
 @lru_cache(maxsize=4)
 def _direct_context(k: int, s: int) -> _DirectContext:
     """The boolean mask over m mod k^s of (m, k^s)_s = 1, index 0 standing for
-    m = k^s, in a fresh context with no spectrum yet."""
+    m = k^s, in a fresh cold context."""
     import numpy as np
 
     fac = factorize(k)
@@ -163,19 +163,50 @@ def _spectrum(k: int, s: int, mask: np.ndarray) -> np.ndarray:
     return spec
 
 
+# Every spectrum the direct route has built, by (k, s) in the order built,
+# and their total bytes, which never pass _SPECTRUM_BYTES: two spectra of a
+# DEFAULT_CAP period (4.0 MB each) fit.
+_SPECTRUM_BYTES = 1 << 23
+_spectra: dict[tuple[int, int], np.ndarray] = {}
+_spectra_nbytes = 0
+
+
+def _keep_spectrum(k: int, s: int, spec: np.ndarray) -> None:
+    """Store spec under (k, s), evicting the oldest-built spectra until the
+    total is back within _SPECTRUM_BYTES; one larger than that is not kept."""
+    global _spectra_nbytes
+    if spec.nbytes > _SPECTRUM_BYTES:
+        return
+    _spectra[k, s] = spec
+    _spectra_nbytes += spec.nbytes
+    while _spectra_nbytes > _SPECTRUM_BYTES:
+        _spectra_nbytes -= _spectra.pop(next(iter(_spectra))).nbytes
+
+
+def _clear_direct() -> None:
+    """Forget every direct-route mask and kept spectrum."""
+    global _spectra_nbytes
+    _direct_context.cache_clear()
+    _spectra.clear()
+    _spectra_nbytes = 0
+
+
 def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
     """c_k^(s)(j) summed over the unit circle.
 
     The first call for a (k, s) adds its J_s(k) roots of unity term by term
-    with compensated summation.  A later call while the key is still cached
-    reads one bin of the real FFT spectrum of the s-coprime indicator, which
-    that call builds once; every call after it is one array read.  Refuses
-    once k^s exceeds cap rather than silently truncating the range.
+    with compensated summation.  A later call while its mask is among the
+    four most recent reads one bin of the real FFT spectrum of the s-coprime
+    indicator, which that call builds once.  Built spectra are kept for the
+    process, evicted oldest-built first once they pass 2^23 bytes together,
+    and every call for a kept key is one array read.  Refuses once k^s
+    exceeds cap rather than silently truncating the range.
     """
     K = _period(k, s, cap, "direct summation")
-    ctx = _direct_context(k, s)
     r = j % K
-    if ctx.spectrum is None:
+    spec = _spectra.get((k, s))
+    if spec is None:
+        ctx = _direct_context(k, s)
         if ctx.cold:
             import numpy as np
 
@@ -183,8 +214,9 @@ def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
             # the same angles, bit for bit, as a table of 2*pi*t/K over t < K
             ang = (2.0 * np.pi / K) * (r * np.flatnonzero(ctx.mask) % K).astype(np.float64)
             return complex(_block_fsum(np.cos(ang)), _block_fsum(np.sin(ang)))
-        ctx.spectrum = _spectrum(k, s, ctx.mask)
-    return complex(ctx.spectrum[min(r, K - r)])
+        spec = _spectrum(k, s, ctx.mask)
+        _keep_spectrum(k, s, spec)
+    return complex(spec[min(r, K - r)])
 
 
 def csum_eval(k: int, j: int, s: int = 1, method: str = "moebius", cap: int = DEFAULT_CAP) -> CsumEvaluation:

@@ -319,7 +319,7 @@ class TestInternalError:
             X[1] += 1e-6j
             return X
 
-        csum._direct_context.cache_clear()
+        csum._clear_direct()
         monkeypatch.setattr(np.fft, "rfft", perturbed)
         try:
             csum.csum_direct(97, 3)  # cold: summed term by term
@@ -330,7 +330,7 @@ class TestInternalError:
             code, out, err = run_main(capsys, *argv)
         finally:
             monkeypatch.undo()
-            csum._direct_context.cache_clear()
+            csum._clear_direct()
         assert code == 3 and out == ""
         assert err.startswith("ramsum: internal error: spectrum of k=101, s=1")
         assert err.count("\n") == 1 and "Traceback" not in err

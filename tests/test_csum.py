@@ -208,30 +208,28 @@ class TestDirectSpectrum:
         # the cold call at every j of the small periods, at a sample of the large
         cold = range(len(js)) if K <= 101 else [0, 1, K // 2, K - 1, *range(K, len(js))] + rng.sample(range(K), 20)
         for i in cold:
-            csum._direct_context.cache_clear()
+            csum._clear_direct()
             z = csum_direct(k, js[i], s)
-            assert csum._direct_context(k, s).spectrum is None
+            assert (k, s) not in csum._spectra
             assert abs(z - exact[i]) < DIRECT_TOL, (k, s, js[i])
         for i, j in enumerate(js):
             z = csum_direct(k, j, s)
             assert z.imag == 0.0
             assert abs(z.real - exact[i]) < DIRECT_TOL, (k, s, j)
-        assert csum._direct_context(k, s).spectrum is not None
+        assert (k, s) in csum._spectra
         # the oracle sums in pure Python, one math.cos and math.sin per term
         for j in ([*js[:K], *far] if K <= 101 else [0, 1, K - 1, *far[:2]]):
             assert abs(fsum_oracle(k, j, s) - csum_moebius(k, j, s)) < DIRECT_TOL, (k, s, j)
 
     def test_spectrum_is_built_on_the_second_call(self):
-        csum._direct_context.cache_clear()
+        csum._clear_direct()
         csum_direct(30, 7, 2)
-        ctx = csum._direct_context(30, 2)
-        assert ctx.spectrum is None
+        assert (30, 2) not in csum._spectra
         csum_direct(30, 8, 2)
-        assert ctx.spectrum is not None
-        assert ctx.spectrum.shape == (900 // 2 + 1,) and not ctx.spectrum.flags.writeable
-        built = ctx.spectrum
+        built = csum._spectra[30, 2]
+        assert built.shape == (900 // 2 + 1,) and not built.flags.writeable
         csum_direct(30, 9, 2)
-        assert ctx.spectrum is built
+        assert csum._spectra[30, 2] is built
 
     def test_perturbed_spectrum_is_refused(self, monkeypatch):
         rfft = np.fft.rfft
@@ -241,15 +239,65 @@ class TestDirectSpectrum:
             X[0] += 1e-6
             return X
 
-        csum._direct_context.cache_clear()
+        csum._clear_direct()
         monkeypatch.setattr(np.fft, "rfft", perturbed)
         try:
             csum_direct(120, 1, 2)
             with pytest.raises(InternalConsistencyError, match="past its bound"):
                 csum_direct(120, 2, 2)
+            assert csum._spectra == {} and csum._spectra_nbytes == 0
+            monkeypatch.undo()
+            assert abs(csum_direct(120, 3, 2) - csum_moebius(120, 3, 2)) < DIRECT_TOL
+            assert list(csum._spectra) == [(120, 2)]
         finally:
             monkeypatch.undo()
-            csum._direct_context.cache_clear()
+            csum._clear_direct()
+
+
+class TestSpectrumStore:
+    """Built spectra are kept past their masks, oldest-built evicted first
+    once their bytes pass _SPECTRUM_BYTES."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        csum._clear_direct()
+        yield
+        csum._clear_direct()
+
+    def assert_within_budget(self):
+        assert csum._spectra_nbytes == sum(v.nbytes for v in csum._spectra.values()) <= csum._SPECTRUM_BYTES
+
+    def test_spectrum_outlives_its_context(self, monkeypatch):
+        csum_direct(30, 1, 2)
+        csum_direct(30, 2, 2)
+        for k in (2, 3, 5, 7):  # four other keys push (30, 2) out of the contexts
+            csum_direct(k, 1, 2)
+
+        def refused(x):
+            raise AssertionError("a kept spectrum was transformed again")
+
+        monkeypatch.setattr(np.fft, "rfft", refused)
+        for j in range(900):
+            assert abs(csum_direct(30, j, 2) - csum_moebius(30, j, 2)) < DIRECT_TOL, j
+
+    def test_third_spectrum_evicts_the_oldest_built(self, monkeypatch):
+        keys = [(100, 1), (101, 1), (10, 2)]  # 51 bins each
+        monkeypatch.setattr(csum, "_SPECTRUM_BYTES", 2 * 51 * 8)
+        for i, (k, s) in enumerate(keys):
+            csum_direct(k, 1, s)
+            csum_direct(k, 2, s)
+            self.assert_within_budget()
+            assert list(csum._spectra) == keys[max(0, i - 1) : i + 1]
+
+    def test_oversize_spectrum_is_answered_not_kept(self, monkeypatch):
+        monkeypatch.setattr(csum, "_SPECTRUM_BYTES", 51 * 8)
+        csum_direct(100, 1)
+        csum_direct(100, 2)
+        kept = csum._spectra[100, 1]
+        for j in range(900):  # 451 bins, past the budget
+            assert abs(csum_direct(30, j, 2) - csum_moebius(30, j, 2)) < DIRECT_TOL, j
+        assert csum._spectra == {(100, 1): kept}
+        self.assert_within_budget()
 
 
 class TestDirectMask:
@@ -265,7 +313,7 @@ class TestDirectMask:
         from ramsum.cli import main
 
         real = csum.jordan_totient
-        csum._direct_context.cache_clear()
+        csum._clear_direct()
         monkeypatch.setattr(csum, "jordan_totient", lambda s, fac: real(s, fac) + 1)
         try:
             with pytest.raises(InternalConsistencyError, match="residue count mismatch for k=30, s=2"):
@@ -274,7 +322,7 @@ class TestDirectMask:
             assert capsys.readouterr().err.startswith("ramsum: internal error: s-coprime residue count mismatch")
         finally:
             monkeypatch.undo()
-            csum._direct_context.cache_clear()
+            csum._clear_direct()
 
 
 class TestTable:
