@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factorize, gen_gcd, jordan_totient, moebius, moebius_divisors
 from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
@@ -28,9 +28,9 @@ if TYPE_CHECKING:
 DEFAULT_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class CsumEvaluation:
-    """One evaluated sum c_k^(s)(j) tagged with the route that produced it."""
+class CsumEvaluation(NamedTuple):
+    """One evaluated sum c_k^(s)(j) tagged with the route that produced it;
+    immutable, and equal to the plain tuple (k, s, j, value, method)."""
 
     k: int
     s: int
@@ -165,17 +165,21 @@ def _spectrum(k: int, s: int, mask: np.ndarray) -> np.ndarray:
 
 # Every spectrum the direct route has built, by (k, s) in the order built,
 # and their total bytes, which never pass _SPECTRUM_BYTES: two spectra of a
-# DEFAULT_CAP period (4.0 MB each) fit.
+# DEFAULT_CAP period (4.0 MB each) fit.  A spectrum larger than the budget
+# (reachable only with a larger cap) is kept apart, the newest one alone.
 _SPECTRUM_BYTES = 1 << 23
 _spectra: dict[tuple[int, int], np.ndarray] = {}
 _spectra_nbytes = 0
+_oversize: tuple = (None, None)
 
 
 def _keep_spectrum(k: int, s: int, spec: np.ndarray) -> None:
     """Store spec under (k, s), evicting the oldest-built spectra until the
-    total is back within _SPECTRUM_BYTES; one larger than that is not kept."""
-    global _spectra_nbytes
+    total is back within _SPECTRUM_BYTES; one larger than that takes the
+    oversize slot from the one before it and evicts nothing."""
+    global _spectra_nbytes, _oversize
     if spec.nbytes > _SPECTRUM_BYTES:
+        _oversize = (k, s), spec
         return
     _spectra[k, s] = spec
     _spectra_nbytes += spec.nbytes
@@ -185,10 +189,11 @@ def _keep_spectrum(k: int, s: int, spec: np.ndarray) -> None:
 
 def _clear_direct() -> None:
     """Forget every direct-route mask and kept spectrum."""
-    global _spectra_nbytes
+    global _spectra_nbytes, _oversize
     _direct_context.cache_clear()
     _spectra.clear()
     _spectra_nbytes = 0
+    _oversize = (None, None)
 
 
 def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
@@ -198,13 +203,16 @@ def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
     with compensated summation.  A later call while its mask is among the
     four most recent reads one bin of the real FFT spectrum of the s-coprime
     indicator, which that call builds once.  Built spectra are kept for the
-    process, evicted oldest-built first once they pass 2^23 bytes together,
-    and every call for a kept key is one array read.  Refuses once k^s
-    exceeds cap rather than silently truncating the range.
+    process, evicted oldest-built first once they pass 2^23 bytes together;
+    one larger than that is kept until the next such one is built.  Every
+    call for a kept key is one array read.  Refuses once k^s exceeds cap
+    rather than silently truncating the range.
     """
     K = _period(k, s, cap, "direct summation")
     r = j % K
     spec = _spectra.get((k, s))
+    if spec is None and _oversize[0] == (k, s):
+        spec = _oversize[1]
     if spec is None:
         ctx = _direct_context(k, s)
         if ctx.cold:
@@ -216,7 +224,7 @@ def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
             return complex(_block_fsum(np.cos(ang)), _block_fsum(np.sin(ang)))
         spec = _spectrum(k, s, ctx.mask)
         _keep_spectrum(k, s, spec)
-    return complex(spec[min(r, K - r)])
+    return complex(spec.item(min(r, K - r)))
 
 
 def csum_eval(k: int, j: int, s: int = 1, method: str = "moebius", cap: int = DEFAULT_CAP) -> CsumEvaluation:
@@ -240,7 +248,7 @@ def csum_eval(k: int, j: int, s: int = 1, method: str = "moebius", cap: int = DE
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return CsumEvaluation(k, s, j, int(v), method)
+        return CsumEvaluation(k, s, j, v, method)
     raise ValueError(f"unknown method {method!r}")
 
 

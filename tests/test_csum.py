@@ -178,6 +178,84 @@ class TestDirectRoute:
             csum_eval(6, 1, 1, method="magic")
 
 
+ROUTES = {"moebius": "csum_moebius", "hoelder": "csum_hoelder", "direct": "csum_direct"}
+
+
+class TestEvaluationRecord:
+    """csum_eval returns an immutable (k, s, j, value, method) record whose
+    value is a Python int on every route and path."""
+
+    def test_record_is_an_immutable_tuple(self):
+        out = csum_eval(12, 4, 1)
+        assert CsumEvaluation._fields == ("k", "s", "j", "value", "method")
+        assert out == (12, 1, 4, -2, "moebius")
+        with pytest.raises(AttributeError):
+            out.value = 0
+        with pytest.raises(AttributeError):
+            out.extra = 0
+
+    def test_values_are_ints_on_every_path(self):
+        csum._clear_direct()
+        for method in ("moebius", "hoelder"):
+            assert type(csum_eval(36, 7, 2, method).value) is int
+        cold = csum_eval(36, 7, 2, "direct")
+        csum_eval(36, 8, 2, "direct")
+        assert (36, 2) in csum._spectra
+        kept = csum_eval(36, 9, 2, "direct")
+        assert type(cold.value) is int and type(kept.value) is int
+        assert (cold.value, kept.value) == (csum_moebius(36, 7, 2), csum_moebius(36, 9, 2))
+
+    def test_direct_sum_is_complex_on_both_paths(self):
+        csum._clear_direct()
+        cold = csum_direct(36, 7, 2)
+        assert (36, 2) not in csum._spectra
+        built = csum_direct(36, 8, 2)
+        kept = csum_direct(36, 9, 2)
+        assert [type(z) for z in (cold, built, kept)] == [complex] * 3
+
+    def test_routes_are_read_from_the_module_at_call_time(self, monkeypatch):
+        """perfbench's tracer wraps the module globals: csum_eval must look
+        each route up per call, not through a table captured at import."""
+        calls = dict.fromkeys(ROUTES, 0)
+
+        def counting(method, real):
+            def wrapper(*args):
+                calls[method] += 1
+                return real(*args)
+
+            return wrapper
+
+        for method, name in ROUTES.items():
+            monkeypatch.setattr(csum, name, counting(method, getattr(csum, name)))
+        for n, (k, j, s) in enumerate([(30, 11, 1), (36, 7, 2), (1, -5, 3)], start=1):
+            for method in ROUTES:
+                before = dict(calls)
+                assert csum_eval(k, j, s, method).value == csum_moebius(k, j, s)
+                assert calls == {m: before[m] + (m == method) for m in ROUTES}
+            assert calls == dict.fromkeys(ROUTES, n)
+
+    @given(st.data())
+    def test_extreme_inputs(self, data):
+        """k = 1, negative j, |j| up to 2^70 and s up to 64 at the default
+        cap: the exact routes agree as ints, and the direct route agrees or
+        refuses a period past the cap."""
+        k = data.draw(st.just(1) | st.integers(min_value=1, max_value=1000), label="k")
+        s = data.draw(st.integers(min_value=1, max_value=64), label="s")
+        e = data.draw(st.integers(min_value=0, max_value=s), label="e")
+        bound = 2**70 // k**e  # j = q k^e, so gen_gcd(j, k, s) is not always 1
+        j = data.draw(st.integers(-(2**70), 2**70) | st.integers(-bound, bound).map(lambda q: q * k**e), label="j")
+        m = csum_eval(k, j, s, "moebius")
+        h = csum_eval(k, j, s, "hoelder")
+        assert type(m.value) is type(h.value) is int
+        assert m.value == h.value
+        try:
+            d = csum_eval(k, j, s, "direct")
+        except ResourceLimitError:
+            assert k**s > csum.DEFAULT_CAP
+        else:
+            assert type(d.value) is int and d.value == m.value
+
+
 def fsum_oracle(k, j, s):
     """c_k^(s)(j) summed term by term with math.fsum over the s-coprime
     residues, one Python cos and sin per term."""
@@ -256,7 +334,8 @@ class TestDirectSpectrum:
 
 class TestSpectrumStore:
     """Built spectra are kept past their masks, oldest-built evicted first
-    once their bytes pass _SPECTRUM_BYTES."""
+    once their bytes pass _SPECTRUM_BYTES; one larger than that budget is
+    kept alone until the next such one is built."""
 
     @pytest.fixture(autouse=True)
     def cleared(self):
@@ -298,6 +377,29 @@ class TestSpectrumStore:
             assert abs(csum_direct(30, j, 2) - csum_moebius(30, j, 2)) < DIRECT_TOL, j
         assert csum._spectra == {(100, 1): kept}
         self.assert_within_budget()
+
+    def test_newest_oversize_spectrum_is_kept_alone(self, monkeypatch):
+        monkeypatch.setattr(csum, "_SPECTRUM_BYTES", 51 * 8)
+        rfft = np.fft.rfft
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return rfft(x)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        for j in range(900):  # 451 bins, past the budget
+            assert abs(csum_direct(30, j, 2) - csum_moebius(30, j, 2)) < DIRECT_TOL, j
+        assert sizes == [900]
+        assert csum._oversize[0] == (30, 2) and csum._spectra == {}
+        for j in range(400):  # 201 bins, also past it: takes the slot
+            assert abs(csum_direct(20, j, 2) - csum_moebius(20, j, 2)) < DIRECT_TOL, j
+        assert sizes == [900, 400]
+        assert csum._oversize[0] == (20, 2) and csum._spectra == {}
+        csum_direct(30, 1, 2)  # its mask is still cached, its spectrum is gone
+        assert sizes == [900, 400, 900] and csum._oversize[0] == (30, 2)
+        csum._clear_direct()
+        assert csum._oversize == (None, None)
 
 
 class TestDirectMask:
