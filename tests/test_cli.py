@@ -322,7 +322,7 @@ class TestInternalError:
         csum._clear_direct()
         monkeypatch.setattr(np.fft, "rfft", perturbed)
         try:
-            csum.csum_direct(97, 3)  # cold: summed term by term
+            csum.csum_direct(97, 3)  # cold: summed from row and column roots
             with pytest.raises(InternalConsistencyError):
                 csum.csum_direct(97, 4)  # reused: builds the spectrum
             argv = ("eval", "csum", "--k", "101", "--j", "5", "--method", "direct")

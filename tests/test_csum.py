@@ -272,8 +272,9 @@ DIRECT_TOL = 1e-8
 
 
 class TestDirectSpectrum:
-    """The first call for a (k, s) is summed term by term; later calls read
-    one real FFT spectrum.  Both must give every j of the period."""
+    """The first call for a (k, s) is summed as row roots times column roots;
+    later calls read one real FFT spectrum.  Both must give every j of the
+    period."""
 
     @pytest.mark.parametrize("k, s", SPECTRUM_PERIODS)
     def test_every_j_cold_and_spectrum(self, k, s):
@@ -400,6 +401,67 @@ class TestSpectrumStore:
         assert sizes == [900, 400, 900] and csum._oversize[0] == (30, 2)
         csum._clear_direct()
         assert csum._oversize == (None, None)
+
+
+# the largest prime period and the largest square the default cap admits, and
+# three near 10^5 for s = 1, 2 and 3
+LARGE_PERIODS = [(999983, 1), (1000, 2), (99991, 1), (316, 2), (46, 3)]
+
+
+def root_sum_bound(k, s):
+    """(B + 48) u J_s(k) with B = isqrt(k^s - 1) + 1, csum._root_sum's bound
+    on each part of a cold direct sum."""
+    return (math.isqrt(k**s - 1) + 1 + 48) * 2.0**-53 * jordan_totient(s, factorize(k))
+
+
+class TestRootSum:
+    """A cold call sums the roots of unity as row roots times column roots:
+    about 4 sqrt(K) cosines and sines, within the bound its docstring derives."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        csum._clear_direct()
+        yield
+        csum._clear_direct()
+
+    def test_trig_work_is_about_four_root_k(self, monkeypatch):
+        args = {"cos": 0, "sin": 0}
+
+        def counting(name):
+            real = getattr(np, name)
+
+            def wrapper(x, *rest, **kw):
+                args[name] += np.size(x)
+                return real(x, *rest, **kw)
+
+            return wrapper
+
+        def refused(x):
+            raise AssertionError("a cold call built a spectrum")
+
+        for name in args:
+            monkeypatch.setattr(np, name, counting(name))
+        monkeypatch.setattr(np.fft, "rfft", refused)
+        for k, s in [(99991, 1), (316, 2)]:
+            K = k**s
+            before = sum(args.values())
+            csum_direct(k, 12345, s)
+            assert 0 < sum(args.values()) - before <= 4 * math.isqrt(K) + 8, (k, s, args)
+
+    @pytest.mark.parametrize("k, s", LARGE_PERIODS)
+    def test_cold_sum_within_its_bound(self, k, s):
+        K, bound = k**s, root_sum_bound(k, s)
+        for j in (0, 1, K // 2, K - 1, 2**64 + 1):
+            csum._direct_context(k, s).cold = True
+            z = csum_direct(k, j, s)
+            assert (k, s) not in csum._spectra
+            assert abs(z.real - csum_moebius(k, j, s)) <= bound, (k, s, j)
+            assert abs(z.imag) <= bound, (k, s, j)
+
+    def test_agrees_with_the_term_by_term_oracle(self):
+        for j in (3, 2**64 + 1):
+            csum._clear_direct()
+            assert abs(csum_direct(99991, j, 1) - fsum_oracle(99991, j, 1)) <= root_sum_bound(99991, 1), j
 
 
 class TestDirectMask:
