@@ -1,24 +1,31 @@
 """Exact rational layer: binomials, Bernoulli numbers and polynomials, power sums.
 
-Everything here is Fraction or int arithmetic; nothing rounds.  Closed forms
-that promise integers (power sums) check integrality before returning.
+Everything here is Fraction or int arithmetic; nothing rounds.  The Bernoulli
+sums add integers over one common denominator, read from one integer row
+C(n, i) B_i D, and build one Fraction at the end.  Closed forms that promise
+integers (power sums) check integrality before returning.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from fractions import Fraction
 from math import comb, prod
 
 from .arith import factorize, primes_up_to
-from .errors import InternalConsistencyError, _refuse_past_digit_limit
+from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
+
 
 def rat_str(q) -> str:
     """Canonical string for a rational: "p/q" in lowest terms, "p" for integers."""
-    q = Fraction(q)
+    if type(q) is int:
+        return int.__repr__(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
+        return int.__repr__(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -64,6 +71,16 @@ def bernoulli_number(m: int) -> Fraction:
         return _bern[m]
 
 
+def _numerator_digits(m: int) -> tuple[int, float]:
+    """(n, d): n the last even index <= m, capped at 2^60, and d a lower bound
+    on the decimal digits of 2 n! / (2 pi)^n, which |B_n| passes (d = 0 below 2)."""
+    # past 2^60 every bound passes any limit; capping n keeps lgamma's argument a float
+    n = min(m - m % 2, 1 << 60)
+    if n < 2:
+        return n, 0.0
+    return n, math.log10(2) + (math.lgamma(n + 1) - n * math.log(2 * math.pi)) / math.log(10)
+
+
 def _bernoulli_budget(m: int) -> None:
     """ResourceLimitError once bernoulli_number(m) would build a numerator past
     sys.get_int_max_str_digits() decimal digits (a limit of 0 means none).
@@ -76,11 +93,9 @@ def _bernoulli_budget(m: int) -> None:
     found only when the bound with 6 in its place stays below the limit, so a
     huge m costs nothing.
     """
-    # past 2^60 the bound passes any limit; capping n keeps lgamma's argument a float
-    n = min(m - m % 2, 1 << 60)
+    n, digits = _numerator_digits(m)
     if n < 2:
         return
-    digits = math.log10(2) + (math.lgamma(n + 1) - n * math.log(2 * math.pi)) / math.log(10)
 
     def past(limit: int) -> bool:
         if digits + math.log10(6) >= limit:
@@ -91,25 +106,106 @@ def _bernoulli_budget(m: int) -> None:
     _refuse_past_digit_limit(f"the tangent-number pass up to B_{m} would build a numerator past", past)
 
 
+# The most work a sweep grid may ask of its largest Bernoulli row n: its
+# n + 1 entries times the digits of its last even B_n, as _numerator_digits
+# bounds them.  A grid walks every row up to n, so its Bernoulli time grows
+# about as n^3: row 775, the largest accepted, is built with every row below
+# it in about 1 s on a 2-CPU host.
+_ROW_WORK_LIMIT = 1_000_000
+
+
+def _row_budget(n: int) -> None:
+    """ResourceLimitError when row n's work estimate, (n + 1) times the digit
+    bound of its last even B_n, passes _ROW_WORK_LIMIT."""
+    work = (min(n, 1 << 60) + 1) * _numerator_digits(n)[1]
+    if work > _ROW_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"Bernoulli row {n} would take about {work:.4g} digit operations, past the limit {_ROW_WORK_LIMIT}"
+        )
+
+
+# Every Bernoulli row built, with its bytes, by n in the order built, and
+# their total bytes, which never pass _ROW_BYTES; a row larger than that is
+# not kept.  Rows 0..324 fit together.
+_ROW_BYTES = 1 << 22
+_rows: dict[int, tuple] = {}
+_rows_nbytes = 0
+_rows_lock = threading.Lock()
+
+
+def _bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
+    """(a, D): D the lcm of the denominators of B_0..B_n and a_i = C(n, i) B_i D,
+    so that D B_n(x) = sum_i a_i x^(n-i) in integers a_i.
+
+    Built with integer operations only.  By von Staudt-Clausen D is the
+    product of the primes p <= n + 1 (p = 2 from B_1), each numerator is
+    scaled by D // den(B_i), and the binomial steps over the even i as
+    C(n, i) = C(n, i-2) (n-i+2) (n-i+1) / ((i-1) i); odd i > 1 hold 0.
+    Kept under _ROW_BYTES, the oldest-built rows evicted first.
+    """
+    global _rows_nbytes
+    kept = _rows.get(n)
+    if kept is not None:
+        return kept[0]
+    bernoulli_number(n)
+    with _bern_lock:
+        bs = _bern[: n + 1]
+    D = prod(primes_up_to(n + 1))
+    a = [0] * (n + 1)
+    a[0] = D
+    if n:
+        a[1] = -n * D // 2
+    c = 1
+    for i in range(2, n + 1, 2):
+        c = c * (n - i + 2) * (n - i + 1) // ((i - 1) * i)
+        b = bs[i]
+        a[i] = c * b.numerator * (D // b.denominator)
+    row = tuple(a), D
+    nbytes = sum(map(sys.getsizeof, a))
+    if nbytes <= _ROW_BYTES:
+        with _rows_lock:
+            if n not in _rows:
+                _rows[n] = row, nbytes
+                _rows_nbytes += nbytes
+                while _rows_nbytes > _ROW_BYTES:
+                    _rows_nbytes -= _rows.pop(next(iter(_rows)))[1]
+    return row
+
+
 def bernoulli_poly(m: int, x) -> Fraction:
-    """B_m(x) = sum_i C(m,i) B_i x^(m-i), evaluated exactly by Horner."""
+    """B_m(x) = sum_i C(m,i) B_i x^(m-i), exactly.
+
+    With x = p/q, D q^m B_m(x) = sum_i a_i p^(m-i) q^i over row m, one
+    Horner pass in integers.
+    """
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     x = Fraction(x)
-    acc = Fraction(0)
-    for i in range(m + 1):
-        acc = acc * x + comb(m, i) * bernoulli_number(i)
-    return acc
+    p, q = x.numerator, x.denominator
+    a, D = _bernoulli_row(m)
+    acc, qi = 0, 1
+    for a_i in a:
+        acc = acc * p + a_i * qi
+        qi *= q
+    return Fraction(acc, D * q**m)
 
 
-def bernoulli_tail(r: int, a) -> Fraction:
-    """(1/(r+1)) sum_{m=0..r//2} C(r+1, 2m) B_{2m} a(m), exactly.
+def bernoulli_tail(r: int, a, x: int = 1) -> Fraction:
+    """(1/(r+1)) sum_{m=0..r//2} C(r+1, 2m) B_{2m} a(m) / x^(2m), exactly.
 
     The even-index Bernoulli tail shared by the Faulhaber form and every
-    power-weight closed form; a(m) supplies the m-th coefficient.
+    power-weight closed form; a(m) supplies the m-th coefficient, an int or
+    a Fraction, and x is a positive integer.  Row r + 1 gives C(r+1, 2m) B_2m
+    = a_2m / D, so with M = r // 2 the tail is
+        sum_m a_2m a(m) x^(2(M-m)) / (D (r+1) x^(2M)),
+    one Horner pass in x^2 over integers for integer a(m).
     """
-    terms = (comb(r + 1, 2 * m) * bernoulli_number(2 * m) * a(m) for m in range(r // 2 + 1))
-    return sum(terms, Fraction(0)) / (r + 1)
+    row, D = _bernoulli_row(r + 1)
+    x2 = x * x
+    total = 0
+    for m in range(r // 2 + 1):
+        total = total * x2 + row[2 * m] * a(m)
+    return Fraction(total, D * (r + 1) * x2 ** (r // 2))
 
 
 def power_sum(n_max: int, r: int) -> int:
@@ -135,8 +231,9 @@ def coprime_power_sum(n: int, r: int) -> int:
 
     Uses the closed form
         (n^{r+1}/(r+1)) sum_m C(r+1, 2m) (B_{2m}/n^{2m}) prod_{p|n} (1 - p^{2m-1})
-    for n > 1; n = 1 is the single term j = 1.  Integrality of the result is
-    an internal invariant, violated only by a bug.
+    for n > 1, read in integers through prod_p (1 - p^{2m-1}) =
+    prod_p (p - p^{2m}) / rad(n); n = 1 is the single term j = 1.
+    Integrality of the result is an internal invariant, violated only by a bug.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -145,9 +242,8 @@ def coprime_power_sum(n: int, r: int) -> int:
     if n == 1:
         return 1
     primes = factorize(n).primes()
-    total = n ** (r + 1) * bernoulli_tail(
-        r, lambda m: prod(1 - Fraction(p) ** (2 * m - 1) for p in primes) / Fraction(n) ** (2 * m)
-    )
+    tail = bernoulli_tail(r, lambda m: prod(p - p ** (2 * m) for p in primes), n)
+    total = n ** (r + 1) // prod(primes) * tail
     if total.denominator != 1:
         raise InternalConsistencyError(f"coprime_power_sum({n}, {r}) not integral: {total}")
     return total.numerator

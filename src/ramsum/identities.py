@@ -26,6 +26,8 @@ from .csum import CsumTable, _moment_state, _period, csum_moebius, csum_table, t
 from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import (
     _bernoulli_budget,
+    _bernoulli_row,
+    _row_budget,
     bernoulli_number,
     bernoulli_tail,
     binomial,
@@ -140,7 +142,7 @@ def _alkan_sides(k: int, s: int, r: int, cap: int, what: str) -> tuple:
     K = _period(k, s, cap, what)
     lhs = _power_weight_lhs((csum_table(k, s, cap),), K, r)
     fac = factorize(k)
-    tail = bernoulli_tail(r, lambda m: Fraction(jordan_totient(2 * m * s, fac), K ** (2 * m)))
+    tail = bernoulli_tail(r, lambda m: jordan_totient(2 * m * s, fac), K)
     return lhs, Fraction(jordan_totient(s, fac), 2 * K) + tail
 
 
@@ -239,27 +241,21 @@ def check_gauss_product(N: int, tol: float | None = None) -> CheckResult:
     return _result("gauss-product", {"N": N}, lhs, rhs, residual, "float", residual <= tol * N)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_integer_coefficients(m: int) -> tuple:
-    """(a, D) with D the lcm of the denominators of B_0..B_m and
-    a_i = C(m, i) B_i D, an int, so that D B_m(x) = sum_i a_i x^(m-i)."""
-    D = reduce(math.lcm, (bernoulli_number(i).denominator for i in range(m + 1)), 1)
-    return tuple(int(binomial(m, i) * bernoulli_number(i) * D) for i in range(m + 1)), D
-
-
 def check_bernoulli_weight(k: int, s: int, m: int, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
     """(1/k^s) sum_{j<k^s} B_m(j/k^s) c_k^(s)(j) against (B_m/k^(sm)) J_(sm)(k).
 
     With D B_m(x) = sum_i a_i x^(m-i) in integers a_i, the left side is
     sum_i a_i K^i M_(m-i) / (D K^(m+1)) over the period's literal moments
-    M_t = sum_j j^t c_k^(s)(j).
+    M_t = sum_j j^t c_k^(s)(j), its numerator one Horner pass in K.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     K = _period(k, s, cap, "the Bernoulli-weight sum")
     moments = _moment_state(csum_table(k, s, cap)).upto(m)
-    a, D = _bernoulli_integer_coefficients(m)
-    total = sum(a_i * K**i * M for i, (a_i, M) in enumerate(zip(a, reversed(moments))))
+    a, D = _bernoulli_row(m)
+    total = 0
+    for a_i, M in zip(reversed(a), moments):
+        total = total * K + a_i * M
     lhs = Fraction(total, D * K ** (m + 1))
     fac = factorize(k)
     rhs = bernoulli_number(m) * Fraction(jordan_totient(s * m, fac), k ** (s * m))
@@ -336,19 +332,24 @@ def check_exp_weight(k: int, s: int, n: int, cap: int = DEFAULT_SWEEP_CAP, tol: 
 
 def g_divisor_sum(ks, s: int, m: int) -> Fraction:
     """g_m^(s)(k_1..k_n): the signed divisor-tuple sum with lcm^((1-2m)s)
-    in the denominator.  Reduces to J_(2ms) at n = 1."""
+    in the denominator.  Reduces to J_(2ms) at n = 1.
+
+    Summed in integers: at m >= 1 each term is num ell^((2m-1)s), and at
+    m = 0 each is num (L/ell)^s over L^s, with L = lcm(ks), which every
+    tuple's ell divides.
+    """
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be positive integers")
     if s < 1 or m < 0:
         raise ValueError("need s >= 1 and m >= 0")
     per_axis = [[(d, d**s * mu) for d, mu in moebius_divisors(factorize(k))] for k in ks]
-    e = (1 - 2 * m) * s
-    total = Fraction(0)
+    L = reduce(math.lcm, ks, 1)
+    total = 0
     for combo in product(*per_axis):
         num = math.prod(w for _, w in combo)
         ell = reduce(math.lcm, (d for d, _ in combo), 1)
-        total += Fraction(num, ell**e) if e >= 0 else num * Fraction(ell) ** (-e)
-    return total
+        total += num * ell ** ((2 * m - 1) * s) if m else num * (L // ell) ** s
+    return Fraction(total, 1 if m else L**s)
 
 
 def check_multivariate(ks, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
@@ -370,7 +371,7 @@ def check_multivariate(ks, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Chec
     K = _period(k, s, cap, "the multivariate power-weight sum")
     lhs = _power_weight_lhs([csum_table(ki, s, cap) for ki in ks], K, r)
     prod_j = math.prod(jordan_totient(s, factorize(ki)) for ki in ks)
-    rhs = Fraction(prod_j, 2 * K) + bernoulli_tail(r, lambda m: g_divisor_sum(ks, s, m) / Fraction(K) ** (2 * m))
+    rhs = Fraction(prod_j, 2 * K) + bernoulli_tail(r, lambda m: g_divisor_sum(ks, s, m), K)
     passed = lhs == rhs
     if r == 1:
         corollary = Fraction(prod_j, 2 * K) + g_divisor_sum(ks, s, 0) / 2
@@ -482,10 +483,14 @@ def _kvals(cfg: SuiteConfig, identity: str, lo: int = 1) -> range:
 
 
 def _rvals(cfg: SuiteConfig, default: int, bernoulli: bool = True) -> range:
-    """r = 1..r_max, refused as eval bernoulli refuses B_(r_max) when the points read B_2m, 2m <= r."""
-    rvals = range(1, (cfg.r_max if cfg.r_max is not None else default) + 1)
-    _bernoulli_budget(len(rvals) if bernoulli else 0)
-    return rvals
+    """r = 1..r_max.  When the points read B_2m, 2m <= r, from Bernoulli row
+    r + 1, r_max is refused as eval bernoulli refuses B_(r_max), and as
+    _row_budget refuses row r_max + 1."""
+    r_max = cfg.r_max if cfg.r_max is not None else default
+    if bernoulli:
+        _bernoulli_budget(r_max)
+        _row_budget(r_max + 1)
+    return range(1, r_max + 1)
 
 
 def _nmax(cfg: SuiteConfig, default: int) -> int:
@@ -547,8 +552,10 @@ def _grid_gauss_product(cfg):
 
 def _grid_bernoulli_weight(cfg):
     m_max = _mmax(cfg, 6)
-    # refuse before any point runs a B_m that eval bernoulli would refuse
+    # refuse before any point runs a B_m that eval bernoulli would refuse,
+    # or a Bernoulli row past its work limit
     _bernoulli_budget(m_max)
+    _row_budget(m_max)
     return [{"k": k, "m": m, "s": s} for k, s, _ in _capped_ks(cfg, "bernoulli-weight") for m in range(m_max + 1)]
 
 

@@ -290,6 +290,74 @@ class TestBernoulliBudget:
         assert (code, out) == (1, "")
         assert run_main(capsys, "eval", "bernoulli", "--m", "3000") == (1, "", err)
 
+    @pytest.mark.parametrize(
+        "argv, passed",
+        [
+            (["power-sum", "--n-max", "1", "--r-max", "774"], 774),
+            (["bernoulli-weight", "--k-max", "1", "--m-max", "775"], 1552),
+        ],
+    )
+    def test_largest_accepted_row_runs_in_bounded_time(self, capsys, monkeypatch, argv, passed):
+        # row 775 is the largest _ROW_WORK_LIMIT accepts: power-sum's r_max 774
+        # reads it, as bernoulli-weight's m_max 775 does; from cold memos every
+        # row up to it is built, in about 1 and 2 s on a 2-CPU host
+        from ramsum import exactnum
+
+        monkeypatch.setattr(exactnum, "_bern", [Fraction(1), Fraction(-1, 2)])
+        monkeypatch.setattr(exactnum, "_rows", {})
+        monkeypatch.setattr(exactnum, "_rows_nbytes", 0)
+        started = time.perf_counter()
+        code, out, _ = run_main(capsys, "verify", *argv)
+        assert time.perf_counter() - started < 15
+        assert code == 0 and out.endswith(f"summary pass={passed} fail=0 findings=0\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power-sum", "--n-max", "1", "--r-max", "775"],
+            ["alkan-classical", "--k-max", "1", "--r-max", "775"],
+            ["alkan", "--k-max", "1", "--r-max", "775"],
+            ["multivariate", "--ks", "2,3", "--r-max", "775"],
+            ["coprime-power-sum", "--n-max", "2", "--r-max", "775"],
+            ["bernoulli-weight", "--k-max", "1", "--m-max", "776"],
+        ],
+    )
+    def test_first_refused_row_is_refused_before_any_point(self, capsys, monkeypatch, argv):
+        # row 776 passes the work limit however large the digit limit is
+        from ramsum import exactnum, identities
+
+        def never(m):
+            raise AssertionError("B_m was computed")
+
+        monkeypatch.setattr(identities, "bernoulli_number", never)
+        monkeypatch.setattr(exactnum, "bernoulli_number", never)
+        default = sys.get_int_max_str_digits()
+        try:
+            for limit in (default, 0):
+                sys.set_int_max_str_digits(limit)
+                started = time.perf_counter()
+                code, out, err = run_main(capsys, "verify", *argv)
+                assert time.perf_counter() - started < 1
+                assert (code, out) == (1, "")
+                assert err.startswith("ramsum: error: Bernoulli row 776 would take about 1.001e+06 digit operations")
+                assert err.endswith(f"past the limit {exactnum._ROW_WORK_LIMIT}\n") and err.count("\n") == 1
+        finally:
+            sys.set_int_max_str_digits(default)
+
+    @pytest.mark.parametrize("flag", ["--r-max", "--m-max"])
+    def test_huge_grid_order_is_refused_without_a_digit_limit(self, capsys, flag):
+        # past sys.maxsize, where a range has no len(); with no digit limit
+        # only the row budget stands between such a grid and its points
+        default = sys.get_int_max_str_digits()
+        identity = "power-sum" if flag == "--r-max" else "bernoulli-weight"
+        try:
+            for limit in (default, 0):
+                sys.set_int_max_str_digits(limit)
+                code, out, err = run_main(capsys, "verify", identity, flag, "1" + "0" * 30)
+                assert (code, out) == (1, "") and err.startswith("ramsum: error: ") and err.count("\n") == 1
+        finally:
+            sys.set_int_max_str_digits(default)
+
     def test_coprime_power_sum_at_n_1_reads_no_bernoulli_number(self, capsys, monkeypatch):
         from ramsum import exactnum
 

@@ -1,9 +1,12 @@
 """Unit tests for exact rational helpers.
 
 Oracles: an additive Pascal triangle for binomials, the Akiyama-Tanigawa
-recurrence for Bernoulli numbers, and direct summation for the power sums.
+recurrence for Bernoulli numbers, direct summation for the power sums, and
+the Fraction-per-term formulas the integer Bernoulli row replaced.
 """
 
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,6 +162,47 @@ class TestPowerSums:
     def test_coprime_power_sum_returns_int(self):
         assert isinstance(coprime_power_sum(12, 3), int)
 
+    def test_exhaustive_small_grid(self):
+        for n in range(1, 61):
+            for r in range(13):
+                assert power_sum(n, r) == sum(j**r for j in range(1, n + 1)), (n, r)
+                expect = sum(j**r for j in range(1, n + 1) if math.gcd(j, n) == 1)
+                assert coprime_power_sum(n, r) == expect, (n, r)
+
+
+def reference_tail(r, a, x=1):
+    """The Fraction-per-term tail: (1/(r+1)) sum_m C(r+1, 2m) B_2m a(m) / x^(2m)."""
+    terms = (
+        math.comb(r + 1, 2 * m) * bernoulli_number(2 * m) * a(m) / Fraction(x) ** (2 * m) for m in range(r // 2 + 1)
+    )
+    return sum(terms, Fraction(0)) / (r + 1)
+
+
+class TestBernoulliRow:
+    def test_matches_the_fraction_products(self):
+        for n in range(81):
+            a, D = exactnum._bernoulli_row(n)
+            assert D == math.lcm(*(bernoulli_number(i).denominator for i in range(n + 1)))
+            assert list(a) == [math.comb(n, i) * bernoulli_number(i) * D for i in range(n + 1)]
+            assert all(type(a_i) is int for a_i in a)
+
+    def test_kept_rows_stay_under_the_byte_budget(self, monkeypatch):
+        # a budget of about three rows near n = 60: building rows 40..80
+        # keeps only the newest, their bytes within the budget, and a row
+        # past the budget on its own is not kept at all
+        budget = 3 * sum(map(sys.getsizeof, exactnum._bernoulli_row(60)[0]))
+        monkeypatch.setattr(exactnum, "_rows", {})
+        monkeypatch.setattr(exactnum, "_rows_nbytes", 0)
+        monkeypatch.setattr(exactnum, "_ROW_BYTES", budget)
+        for n in range(40, 81):
+            assert exactnum._bernoulli_row(n) == exactnum._bernoulli_row(n)
+        kept = exactnum._rows
+        assert 80 in kept and 40 not in kept and len(kept) < 10
+        nbytes = sum(sum(map(sys.getsizeof, a)) for (a, _), _ in kept.values())
+        assert exactnum._rows_nbytes == nbytes <= exactnum._ROW_BYTES
+        exactnum._bernoulli_row(400)
+        assert 400 not in exactnum._rows and 80 in exactnum._rows
+
 
 class TestBernoulliTail:
     @given(st.integers(min_value=1, max_value=12))
@@ -175,6 +219,14 @@ class TestBernoulliTail:
         expected = (2 + 10 * Fraction(1, 6) * 3 + 5 * Fraction(-1, 30) * 5) / 5
         assert bernoulli_tail(4, a.__getitem__) == expected
 
+    @pytest.mark.parametrize("x", [1, 2, 7, 360])
+    def test_matches_the_fraction_formula(self, x):
+        for r in range(13):
+            ints = lambda m: (-3) ** m * (m + 2)
+            assert bernoulli_tail(r, ints, x) == reference_tail(r, ints, x), r
+            fracs = lambda m: Fraction(5 - 2 * m, 3 + m)
+            assert bernoulli_tail(r, fracs, x) == reference_tail(r, fracs, x), r
+
 
 class TestRatStr:
     def test_integers_render_bare(self):
@@ -184,3 +236,18 @@ class TestRatStr:
     def test_fractions_render_with_slash(self):
         assert rat_str(Fraction(17, 32)) == "17/32"
         assert rat_str(Fraction(-1, 6)) == "-1/6"
+
+    def test_ints_and_other_rationals(self):
+        assert rat_str(-12) == "-12"
+        assert rat_str(True) == "1"
+        assert rat_str(0.5) == "1/2"
+
+    def test_digit_limit_still_raises(self):
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            for q in (10**700, Fraction(10**700, 3), Fraction(3, 10**700)):
+                with pytest.raises(ValueError, match="Exceeds the limit"):
+                    rat_str(q)
+        finally:
+            sys.set_int_max_str_digits(default)

@@ -11,12 +11,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsum.arith import euler_phi, factorize, jordan_totient
+from ramsum.arith import euler_phi, factorize, jordan_totient, moebius_divisors
 from ramsum.csum import csum_moebius, csum_table
 from ramsum.errors import ResourceLimitError
 from ramsum.exactnum import bernoulli_number
@@ -417,6 +418,22 @@ class TestMultivariate:
             assert g_divisor_sum([k], 1, 1) == jordan_totient(2, fac)
             assert g_divisor_sum([k], 2, 1) == jordan_totient(4, fac)
             assert g_divisor_sum([k], 1, 0) == (1 if k == 1 else 0)
+
+    def test_g_matches_the_fraction_formula(self):
+        # the integer sums against one Fraction per divisor tuple,
+        # num / lcm^((1-2m)s), over the default tuples
+        def reference(ks, s, m):
+            total = Fraction(0)
+            for combo in product(*[moebius_divisors(factorize(k)) for k in ks]):
+                num = math.prod(d**s * mu for d, mu in combo)
+                total += num / Fraction(math.lcm(*(d for d, _ in combo))) ** ((1 - 2 * m) * s)
+            return total
+
+        for ks in DEFAULT_TUPLES:
+            for s in range(1, 4):
+                for m in range(4):
+                    out = g_divisor_sum(ks, s, m)
+                    assert type(out) is Fraction and out == reference(ks, s, m), (ks, s, m)
 
     def test_corollary_constant_is_m0_sum(self):
         # at r = 1 the closed form must coincide with the two-term corollary
