@@ -9,6 +9,10 @@ With several checkouts every seed runs once in each, the order rotating from
 seed to seed, so each seed gives one pair of runs taken side by side.  With
 two checkouts each metric also gets the number of seeds on which the second
 is better than the first, by the direction BENCHMARK.json gives it.
+
+Bytecode left in one checkout and not the other would skew `setup_s`, so a
+checkout with a `__pycache__` anywhere under its `src/` is refused, by name,
+before any run, and every run has PYTHONDONTWRITEBYTECODE=1 set.
 """
 
 from __future__ import annotations
@@ -26,10 +30,19 @@ def _seeds(text: str) -> list:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def stale_bytecode(checkout: str) -> list:
+    """The __pycache__ directories under checkout/src, sorted."""
+    found = []
+    for root, dirs, _ in os.walk(os.path.join(checkout, "src")):
+        found += [os.path.join(root, d) for d in dirs if d == "__pycache__"]
+    return sorted(found)
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple:
     """(machine record, result) of one perfbench/run.py --trace 0 run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if len(lines) < 2:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
@@ -51,6 +64,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkouts = dict(c.split("=", 1) for c in args.checkout)
     labels = list(checkouts)
+    for label, path in checkouts.items():
+        stale = stale_bytecode(path)
+        if stale:
+            raise SystemExit(f"{label}: bytecode under src would skew setup_s; remove {', '.join(stale)}")
     with open(os.path.join(checkouts[labels[0]], "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING
 
 from .arith import divisors, euler_phi, factorize, jordan_totient, moebius_divisors, tau_sigma, von_mangoldt
@@ -35,12 +35,15 @@ from .exactnum import (
     power_sum,
     rat_str,
 )
-from .logspace import TWO_PI, LogLinear, float_value, log_factorial, mu_log_lemma_sides
+from .logspace import TWO_PI, LogLinear, float_value, legendre_exponents, mu_log_lemma_sides
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_SWEEP_CAP = 100_000
+# the most points one verify run builds, about 30 MB of them: verify all
+# takes 25377 at --k-max 240 and 68941 at --k-max 1000
+_GRID_POINT_LIMIT = 100_000
 # hard ceilings of three checks, read by their grids too: binomial-weight k^s,
 # multisection n and gauss-product N
 _BINOMIAL_CAP = 256
@@ -116,6 +119,13 @@ def _predicted_defect(identity: str, params: dict) -> bool:
     return identity == "log-weight" and params.get("s", 1) >= 2
 
 
+def _exact(identity: str, params: dict, lhs, rhs) -> CheckResult:
+    """The result of an exact check whose sides are ints or Fractions; the
+    residual is only computed when they differ."""
+    passed = lhs == rhs
+    return _result(identity, params, lhs, rhs, 0.0 if passed else abs(float(lhs - rhs)), "exact", passed)
+
+
 def _result(identity: str, params: dict, lhs, rhs, residual: float, mode: str, passed: bool) -> CheckResult:
     if passed:
         classification = "verified" if mode == "exact" else "numerical-pass"
@@ -149,14 +159,14 @@ def _alkan_sides(k: int, s: int, r: int, cap: int, what: str) -> tuple:
 def check_alkan_classical(k: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
     """(1/k^(r+1)) sum_{j<=k} j^r c_k(j) against the totient-Bernoulli form."""
     lhs, rhs = _alkan_sides(k, 1, r, cap, "the classical power-weight sum")
-    return _result("alkan-classical", {"k": k, "r": r}, lhs, rhs, abs(float(lhs - rhs)), "exact", lhs == rhs)
+    return _exact("alkan-classical", {"k": k, "r": r}, lhs, rhs)
 
 
 def check_alkan_generalized(k: int, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
     """(1/k^(s(r+1))) sum_{j<=k^s} j^r c_k^(s)(j) against the J_s closed form;
     s = 1 is the classical identity."""
     lhs, rhs = _alkan_sides(k, s, r, cap, "the generalized power-weight sum")
-    return _result("alkan", {"k": k, "r": r, "s": s}, lhs, rhs, abs(float(lhs - rhs)), "exact", lhs == rhs)
+    return _exact("alkan", {"k": k, "r": r, "s": s}, lhs, rhs)
 
 
 def check_log_weight(k: int, s: int) -> CheckResult:
@@ -170,25 +180,29 @@ def check_log_weight(k: int, s: int) -> CheckResult:
     """
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
-    num: dict[int, int] = {}
+    # both sides are integer numerators over the common denominator k
+    lhs_num: dict[int, int] = {}
     for j in range(2, k + 1):
         c = csum_moebius(k, j, s)
         if not c:
             continue
         for p, e in factorize(j).factors:
-            num[p] = num.get(p, 0) + c * e
-    lhs = LogLinear({p: Fraction(v, k) for p, v in num.items()})
+            lhs_num[p] = lhs_num.get(p, 0) + c * e
     fac = factorize(k)
-    rhs = s * von_mangoldt(fac)
+    rhs_num = {p: s * k * c.numerator for p, c in von_mangoldt(fac).coefficients().items()}
     for d, mu in moebius_divisors(fac):
         # once 2^s > k every d >= 2 has k // d^s = 0, so d^s is never built there
         if d > 1 and s >= k.bit_length():
             continue
-        arg = k // d**s
-        if arg >= 2:
-            rhs = rhs + Fraction(d**s, k) * mu * log_factorial(arg)
-    diff = lhs - rhs
-    return _result("log-weight", {"k": k, "s": s}, lhs, rhs, abs(float_value(diff)), "exact", diff.is_zero)
+        ds = d**s
+        for p, e in legendre_exponents(k // ds).items():
+            rhs_num[p] = rhs_num.get(p, 0) + mu * ds * e
+    lhs = LogLinear._raw({p: Fraction(v, k) for p, v in lhs_num.items() if v})
+    rhs = LogLinear._raw({p: Fraction(v, k) for p, v in rhs_num.items() if v})
+    diff = {p: v for p in lhs_num.keys() | rhs_num.keys() if (v := lhs_num.get(p, 0) - rhs_num.get(p, 0))}
+    # float_value(lhs - rhs) bit for bit: v / k rounds the rational each coefficient is
+    residual = abs(math.fsum(v / k * math.log(p) for p, v in diff.items()))
+    return _result("log-weight", {"k": k, "s": s}, lhs, rhs, residual, "exact", not diff)
 
 
 def check_gcd_weight(k: int, s: int, f: WeightFunctionSpec, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
@@ -201,8 +215,7 @@ def check_gcd_weight(k: int, s: int, f: WeightFunctionSpec, cap: int = DEFAULT_S
     S = {d: int(vals[:: d**s].sum()) for d in divisors(fac)}
     lhs = sum(weight_value(f, g**s) * sum(m * S[k // d] for d, m in moebius_divisors(factorize(k // g))) for g in S)
     rhs = jordan_totient(s, fac) * sum(weight_value(f, d**s) * mu for d, mu in moebius_divisors(fac))
-    params = {"k": k, "s": s, "weight": f.label}
-    return _result("gcd-weight", params, lhs, rhs, abs(float(lhs - rhs)), "exact", lhs == rhs)
+    return _exact("gcd-weight", {"k": k, "s": s, "weight": f.label}, lhs, rhs)
 
 
 def check_gamma_weight(k: int, s: int, cap: int = DEFAULT_SWEEP_CAP, tol: float | None = None) -> CheckResult:
@@ -216,8 +229,13 @@ def check_gamma_weight(k: int, s: int, cap: int = DEFAULT_SWEEP_CAP, tol: float 
         raise ValueError("k must be at least 2, the k = 1 case degenerates")
     K = _period(k, s, cap, "the log-Gamma sum")
     tol = DEFAULT_FLOAT_TOL if tol is None else tol
-    vals = csum_table(k, s, cap).array.tolist()
-    terms = [math.lgamma(j / K) * vals[j] for j in range(1, K) if vals[j]]
+    import numpy as np
+
+    # the literal sum in one pass over the nonzero j < K; fsum is exact, so
+    # the order the terms come in does not change its value
+    table = csum_table(k, s, cap).array
+    j = np.flatnonzero(table[1:]) + 1
+    terms = map(mul, map(math.lgamma, (j / K).tolist()), table[j].tolist())
     fac = factorize(k)
     lhs = math.fsum(terms) / jordan_totient(s, fac)
     coeffs: dict = {p: Fraction(s, 2 * (p**s - 1)) for p in fac.primes()}
@@ -259,8 +277,7 @@ def check_bernoulli_weight(k: int, s: int, m: int, cap: int = DEFAULT_SWEEP_CAP)
     lhs = Fraction(total, D * K ** (m + 1))
     fac = factorize(k)
     rhs = bernoulli_number(m) * Fraction(jordan_totient(s * m, fac), k ** (s * m))
-    params = {"k": k, "m": m, "s": s}
-    return _result("bernoulli-weight", params, lhs, rhs, abs(float(lhs - rhs)), "exact", lhs == rhs)
+    return _exact("bernoulli-weight", {"k": k, "m": m, "s": s}, lhs, rhs)
 
 
 def check_binomial_weight(k: int, s: int, tol: float | None = None) -> CheckResult:
@@ -373,11 +390,11 @@ def check_multivariate(ks, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Chec
     prod_j = math.prod(jordan_totient(s, factorize(ki)) for ki in ks)
     rhs = Fraction(prod_j, 2 * K) + bernoulli_tail(r, lambda m: g_divisor_sum(ks, s, m), K)
     passed = lhs == rhs
+    residual = 0.0 if passed else abs(float(lhs - rhs))
     if r == 1:
         corollary = Fraction(prod_j, 2 * K) + g_divisor_sum(ks, s, 0) / 2
         passed = passed and corollary == rhs
-    params = {"ks": ks, "r": r, "s": s}
-    return _result("multivariate", params, lhs, rhs, abs(float(lhs - rhs)), "exact", passed)
+    return _result("multivariate", {"ks": ks, "r": r, "s": s}, lhs, rhs, residual, "exact", passed)
 
 
 def check_g_multiplicative(ks, ks2, s: int, m: int) -> CheckResult:
@@ -391,8 +408,7 @@ def check_g_multiplicative(ks, ks2, s: int, m: int) -> CheckResult:
         raise ValueError("tuples must be coprime")
     lhs = g_divisor_sum([a * b for a, b in zip(ks, ks2)], s, m)
     rhs = g_divisor_sum(ks, s, m) * g_divisor_sum(ks2, s, m)
-    params = {"ks": ks, "ks2": ks2, "m": m, "s": s}
-    return _result("g-multiplicative", params, lhs, rhs, abs(float(lhs - rhs)), "exact", lhs == rhs)
+    return _exact("g-multiplicative", {"ks": ks, "ks2": ks2, "m": m, "s": s}, lhs, rhs)
 
 
 def check_power_sum(N: int, r: int) -> CheckResult:
@@ -401,7 +417,7 @@ def check_power_sum(N: int, r: int) -> CheckResult:
         raise ValueError("need N >= 1 and r >= 0")
     lhs = power_sum(N, r)
     rhs = sum(j**r for j in range(1, N + 1))
-    return _result("power-sum", {"N": N, "r": r}, lhs, rhs, abs(float(lhs - rhs)), "exact", lhs == rhs)
+    return _exact("power-sum", {"N": N, "r": r}, lhs, rhs)
 
 
 def check_coprime_power_sum(n: int, r: int) -> CheckResult:
@@ -410,14 +426,15 @@ def check_coprime_power_sum(n: int, r: int) -> CheckResult:
         raise ValueError("need n >= 1 and r >= 0")
     lhs = coprime_power_sum(n, r)
     rhs = sum(j**r for j in range(1, n + 1) if math.gcd(j, n) == 1)
-    return _result("coprime-power-sum", {"n": n, "r": r}, lhs, rhs, abs(float(lhs - rhs)), "exact", lhs == rhs)
+    return _exact("coprime-power-sum", {"n": n, "r": r}, lhs, rhs)
 
 
 def check_mu_log_lemma(k: int, s: int) -> CheckResult:
     """Both sides of the mu(d) log(d)/d^s lemma as exact log vectors."""
     lhs, rhs = mu_log_lemma_sides(k, s)
-    diff = lhs - rhs
-    return _result("mu-log-lemma", {"k": k, "s": s}, lhs, rhs, abs(float_value(diff)), "exact", diff.is_zero)
+    passed = lhs == rhs
+    residual = 0.0 if passed else abs(float_value(lhs - rhs))
+    return _result("mu-log-lemma", {"k": k, "s": s}, lhs, rhs, residual, "exact", passed)
 
 
 # ---------------------------------------------------------------- suite runner
@@ -472,14 +489,16 @@ class IdentityReport:
     findings: int
 
 
-def _svals(cfg: SuiteConfig, default: int) -> list[int]:
+def _svals(cfg: SuiteConfig, default: int) -> range:
     if cfg.s is not None:
-        return [cfg.s]
-    return list(range(1, (cfg.s_max if cfg.s_max is not None else default) + 1))
+        return range(cfg.s, cfg.s + 1)
+    return range(1, (cfg.s_max if cfg.s_max is not None else default) + 1)
 
 
-def _kvals(cfg: SuiteConfig, identity: str, lo: int = 1) -> range:
-    return range(max(lo, cfg.k_min), (cfg.k_max if cfg.k_max is not None else DEFAULT_K_MAX[identity]) + 1)
+def _kvals(cfg: SuiteConfig, identity: str, lo: int = 1, cap: int | None = None) -> range:
+    """The k of a grid, ending at cap when one is given: past it k^s > cap at every s."""
+    hi = cfg.k_max if cfg.k_max is not None else DEFAULT_K_MAX[identity]
+    return range(max(lo, cfg.k_min), (hi if cap is None else min(hi, cap)) + 1)
 
 
 def _rvals(cfg: SuiteConfig, default: int, bernoulli: bool = True) -> range:
@@ -514,40 +533,38 @@ def _capped_s(cfg: SuiteConfig, k: int, s_default: int, cap: int):
 def _capped_ks(cfg: SuiteConfig, identity: str, s_default: int = 2, lo: int = 1, cap: int | None = None):
     """(k, s, k^s) with k outer and s inner, keeping the points with k^s <= cap."""
     cap = cfg.cap if cap is None else cap
-    for k in _kvals(cfg, identity, lo):
+    for k in _kvals(cfg, identity, lo, cap):
         for s, K in _capped_s(cfg, k, s_default, cap):
             yield k, s, K
 
 
 def _grid_alkan_classical(cfg):
-    return [{"k": k, "r": r} for k in _kvals(cfg, "alkan-classical") if k <= cfg.cap for r in _rvals(cfg, 4)]
+    return ({"k": k, "r": r} for k in _kvals(cfg, "alkan-classical", cap=cfg.cap) for r in _rvals(cfg, 4))
 
 
 def _grid_alkan(cfg):
-    return [{"k": k, "r": r, "s": s} for k, s, _ in _capped_ks(cfg, "alkan") for r in _rvals(cfg, 4)]
+    return ({"k": k, "r": r, "s": s} for k, s, _ in _capped_ks(cfg, "alkan") for r in _rvals(cfg, 4))
 
 
 def _grid_log_weight(cfg):
-    return [{"k": k, "s": s} for k in _kvals(cfg, "log-weight") for s in _svals(cfg, 2)]
+    return ({"k": k, "s": s} for k in _kvals(cfg, "log-weight") for s in _svals(cfg, 2))
 
 
 def _grid_gcd_weight(cfg):
     weights = cfg.weights if cfg.weights is not None else DEFAULT_WEIGHTS
-    out = []
     for k, s, _ in _capped_ks(cfg, "gcd-weight"):
         for token in weights:
             resolved = token.replace(":s", f":{s}") if token.endswith(":s") else token
             parse_weight(resolved)
-            out.append({"k": k, "s": s, "weight": resolved})
-    return out
+            yield {"k": k, "s": s, "weight": resolved}
 
 
 def _grid_gamma_weight(cfg):
-    return [{"k": k, "s": s} for k, s, _ in _capped_ks(cfg, "gamma-weight", lo=2)]
+    return ({"k": k, "s": s} for k, s, _ in _capped_ks(cfg, "gamma-weight", lo=2))
 
 
 def _grid_gauss_product(cfg):
-    return [{"N": n} for n in range(1, min(_nmax(cfg, 100), _GAUSS_N_MAX) + 1)]
+    return ({"N": n} for n in range(1, min(_nmax(cfg, 100), _GAUSS_N_MAX) + 1))
 
 
 def _grid_bernoulli_weight(cfg):
@@ -556,65 +573,62 @@ def _grid_bernoulli_weight(cfg):
     # or a Bernoulli row past its work limit
     _bernoulli_budget(m_max)
     _row_budget(m_max)
-    return [{"k": k, "m": m, "s": s} for k, s, _ in _capped_ks(cfg, "bernoulli-weight") for m in range(m_max + 1)]
+    return ({"k": k, "m": m, "s": s} for k, s, _ in _capped_ks(cfg, "bernoulli-weight") for m in range(m_max + 1))
 
 
 def _grid_binomial_weight(cfg):
     cap = min(_BINOMIAL_CAP, cfg.cap)
-    return [{"k": k, "s": s} for k, s, _ in _capped_ks(cfg, "binomial-weight", s_default=6, cap=cap)]
+    return ({"k": k, "s": s} for k, s, _ in _capped_ks(cfg, "binomial-weight", s_default=6, cap=cap))
 
 
 def _grid_multisection(cfg):
     nmax = min(_nmax(cfg, 40), _MULTISECTION_N_MAX)
     rmax = cfg.r_max if cfg.r_max is not None else 8
-    return [{"n": n, "r": r} for n in range(1, nmax + 1) for r in range(1, min(n, rmax) + 1)]
+    return ({"n": n, "r": r} for n in range(1, nmax + 1) for r in range(1, min(n, rmax) + 1))
 
 
 def _grid_exp_weight(cfg):
-    return [
+    return (
         {"k": k, "n": n, "s": s} for k, s, K in _capped_ks(cfg, "exp-weight") for n in range(min(K, _nmax(cfg, 25)) + 1)
-    ]
+    )
 
 
 def _grid_mu_log_lemma(cfg):
-    return [{"k": k, "s": s} for k in _kvals(cfg, "mu-log-lemma") for s in _svals(cfg, 4)]
+    return ({"k": k, "s": s} for k in _kvals(cfg, "mu-log-lemma") for s in _svals(cfg, 4))
 
 
 def _grid_multivariate(cfg):
     # --k-min and --k-max bound lcm(ks) of the default tuples; explicit ks run as given
     kvals = _kvals(cfg, "multivariate")
     tuples = cfg.ks if cfg.ks is not None else [ks for ks in DEFAULT_TUPLES if reduce(math.lcm, ks) in kvals]
-    out = []
     for ks in tuples:
         k = reduce(math.lcm, ks, 1)
         for s, _ in _capped_s(cfg, k, 2, cfg.cap):
             for r in _rvals(cfg, 3):
-                out.append({"ks": list(ks), "r": r, "s": s})
-    return out
+                yield {"ks": list(ks), "r": r, "s": s}
 
 
 def _grid_g_multiplicative(cfg):
     rng = random.Random(cfg.seed)
     svals = _svals(cfg, 2)
-    out = []
     for _ in range(cfg.tuples):
         n = rng.randint(1, 3)
         a = [rng.randint(1, 10) for _ in range(n)]
         prod_a = reduce(lambda x, y: x * y, a, 1)
         pool = [v for v in range(1, 13) if math.gcd(v, prod_a) == 1]
         b = [rng.choice(pool) for _ in range(n)]
-        out.append({"ks": a, "ks2": b, "m": rng.randint(0, _mmax(cfg, 2)), "s": rng.choice(svals)})
-    return out
+        # randint draws what choice(svals) draws, with no len() past sys.maxsize
+        yield {"ks": a, "ks2": b, "m": rng.randint(0, _mmax(cfg, 2)), "s": rng.randint(svals[0], svals[-1])}
 
 
 def _grid_power_sum(cfg):
-    return [{"N": n, "r": r} for n in range(1, _nmax(cfg, 200) + 1) for r in _rvals(cfg, 6)]
+    return ({"N": n, "r": r} for n in range(1, _nmax(cfg, 200) + 1) for r in _rvals(cfg, 6))
 
 
 def _grid_coprime_power_sum(cfg):
     nmax = _nmax(cfg, 100)
     # n = 1 is the single term 1 and reads no Bernoulli number
-    return [{"n": n, "r": r} for n in range(1, nmax + 1) for r in _rvals(cfg, 4, bernoulli=nmax >= 2)]
+    return ({"n": n, "r": r} for n in range(1, nmax + 1) for r in _rvals(cfg, 4, bernoulli=nmax >= 2))
 
 
 # The identity registry, in "all" order: id -> (grid builder, check).  A grid
@@ -665,11 +679,15 @@ def build_grid(cfg: SuiteConfig) -> list:
 
     Points whose k^s would exceed the sweep cap are left out of default
     grids; explicitly requested single points past the cap raise instead.
+    The grids yield their points, and a run of more than _GRID_POINT_LIMIT
+    is refused once its points pass that count, before any of them runs.
     """
     points = []
     for identity in resolve_identities(cfg.identities):
         grid, _ = _REGISTRY[identity]
         for params in grid(cfg):
+            if len(points) == _GRID_POINT_LIMIT:
+                raise ResourceLimitError(f"the grid passes {_GRID_POINT_LIMIT} points, the limit of one verify run")
             points.append((identity, params, cfg.cap, cfg.tolerance))
     return points
 
@@ -713,16 +731,43 @@ _HUMAN = (0, 1, 2, 3, 4, 7)  # the human table leaves out mode and pass
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _float_json(v) -> str:
+    """A float as json.dumps writes it, bare."""
+    text = float.__repr__(v)
+    return _JSON_FLOATS.get(text, text)
+
+
+def _quoted(text):
+    return lambda v: encode_basestring_ascii(text(v))
+
+
+# type -> (text, JSON text) of a result value, one text in every report
+# format; float.__repr__ keeps a numpy float64 to its digits, where repr
+# would wrap them.  _writers fills in other types on first sight.
+_WRITERS = {
+    int: (rat_str, _quoted(rat_str)),
+    Fraction: (rat_str, _quoted(rat_str)),
+    LogLinear: (str, _quoted(str)),
+    float: (float.__repr__, _float_json),
+}
+
+
+def _writers(v) -> tuple:
+    """The writers of v's type: those of its nearest listed base, else repr quoted."""
+    cls = type(v)
+    found = _WRITERS.get(cls)
+    if found is None:
+        base = next((b for b in cls.__mro__ if b in _WRITERS), None)
+        found = _WRITERS[cls] = _WRITERS[base] if base else (repr, _quoted(repr))
+    return found
+
+
 def _text(v) -> str:
-    """The one text of a result value in every report format.  float.__repr__
-    keeps a numpy float64 to its digits, where repr would wrap them."""
-    if isinstance(v, (int, Fraction)):
-        return rat_str(v)
-    if isinstance(v, LogLinear):
-        return str(v)
-    if isinstance(v, float):
-        return float.__repr__(v)
-    return repr(v)
+    return _writers(v)[0](v)
+
+
+def _json_value(v) -> str:
+    return _writers(v)[1](v)
 
 
 def _cells(r: CheckResult) -> list:
@@ -730,12 +775,6 @@ def _cells(r: CheckResult) -> list:
     params = json.dumps(r.params, sort_keys=True, separators=(",", ":"))
     passed = "true" if r.passed else "false"
     return [r.identity, params, _text(r.lhs), _text(r.rhs), _text(r.residual), r.mode, passed, r.classification]
-
-
-def _json_text(v) -> str:
-    """_text(v) as a JSON value: bare for a float, as json.dumps writes it, and quoted otherwise."""
-    text = _text(v)
-    return _JSON_FLOATS.get(text, text) if isinstance(v, float) else encode_basestring_ascii(text)
 
 
 def _json_params(v, pad: str) -> str:
@@ -760,29 +799,51 @@ def _json_params(v, pad: str) -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-# one JSON result row, its keys in sorted order, as json.dumps(indent=2) lays it out
+# one JSON result row, its keys in sorted order, as json.dumps(indent=2) lays
+# it out; %s is the params object, a format of its own values
 _JSON_ROW = """    {{
       "classification": {},
       "identity": {},
       "lhs": {},
       "mode": {},
-      "params": {},
+      "params": %s,
       "pass": {},
       "residual": {},
       "rhs": {}
     }}"""
+_PARAM_JSON = {int: int.__repr__, str: encode_basestring_ascii}
+# params keys in insertion order -> (the row format of that shape, the keys sorted)
+_ROW_FORMATS: dict = {}
+
+
+def _row_format(keys: tuple) -> tuple:
+    order = tuple(sorted(keys))
+    names = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") for key in order]
+    params = "{{\n" + ",\n".join(f"        {name}: {{}}" for name in names) + "\n      }}" if order else "{{}}"
+    return _JSON_ROW % params, order
 
 
 def _json_row(r: CheckResult) -> str:
-    return _JSON_ROW.format(
+    params = r.params
+    keys = tuple(params)
+    found = _ROW_FORMATS.get(keys)
+    if found is None:
+        found = _ROW_FORMATS[keys] = _row_format(keys)
+    fmt, order = found
+    # ints and strings fill the format directly; only nested lists (ks, ks2) are laid out
+    values = [
+        write(v) if (write := _PARAM_JSON.get(type(v))) else _json_params(v, "        ")
+        for v in map(params.__getitem__, order)
+    ]
+    return fmt.format(
         encode_basestring_ascii(r.classification),
         encode_basestring_ascii(r.identity),
-        _json_text(r.lhs),
+        _json_value(r.lhs),
         encode_basestring_ascii(r.mode),
-        _json_params(r.params, "      "),
+        *values,
         "true" if r.passed else "false",
-        _json_text(r.residual),
-        _json_text(r.rhs),
+        _json_value(r.residual),
+        _json_value(r.rhs),
     )
 
 

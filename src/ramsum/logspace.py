@@ -124,19 +124,24 @@ def log_of_integer(n: int) -> LogLinear:
     return LogLinear._raw({p: Fraction(e) for p, e in fac.factors})
 
 
-def log_factorial(n: int) -> LogLinear:
-    """log n! assembled from prime valuations of n! (Legendre's count)."""
+def legendre_exponents(n: int) -> dict[int, int]:
+    """The exponent of each prime p <= n in n!, by Legendre's count sum_i n // p^i."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    coeffs = {}
+    out = {}
     for p in primes_up_to(n):
         e = 0
         q = p
         while q <= n:
             e += n // q
             q *= p
-        coeffs[p] = Fraction(e)
-    return LogLinear._raw(coeffs)
+        out[p] = e
+    return out
+
+
+def log_factorial(n: int) -> LogLinear:
+    """log n! assembled from prime valuations of n! (Legendre's count)."""
+    return LogLinear._raw({p: Fraction(e) for p, e in legendre_exponents(n).items()})
 
 
 def mu_log_lemma_sides(k: int, s: int) -> tuple[LogLinear, LogLinear]:
@@ -144,22 +149,25 @@ def mu_log_lemma_sides(k: int, s: int) -> tuple[LogLinear, LogLinear]:
 
     The left side keeps only squarefree divisors (mu kills the rest), built
     directly from subsets of the prime support; the right side is the closed
-    form.  Both are exact LogLinear vectors over the primes dividing k.
+    form.  Both are exact LogLinear vectors over the primes dividing k, each
+    summed in integers over R = rad(k)^s: the product d of t primes adds
+    (-1)^t (rad(k)/d)^s to each of them, and since
+    J_s(k) R / k^s = prod_p (p^s - 1), the right side at p is minus that
+    product over p^s - 1.
     """
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
     fac = factorize(k)
     primes = fac.primes()
-    lhs_coeffs: dict = {p: Fraction(0) for p in primes}
+    rad = math.prod(primes)
+    lhs_num = dict.fromkeys(primes, 0)
     for t in range(1, len(primes) + 1):
         for subset in combinations(primes, t):
-            d = 1
+            w = (-1) ** t * (rad // math.prod(subset)) ** s
             for p in subset:
-                d *= p
-            w = Fraction((-1) ** t, d**s)
-            for p in subset:
-                lhs_coeffs[p] += w
-    lhs = LogLinear(lhs_coeffs)
-    scale = -Fraction(jordan_totient(s, fac), k**s)
-    rhs = LogLinear({p: scale / (p**s - 1) for p in primes})
+                lhs_num[p] += w
+    R = rad**s
+    P = jordan_totient(s, fac) * R // k**s
+    lhs = LogLinear._raw({p: Fraction(v, R) for p, v in lhs_num.items() if v})
+    rhs = LogLinear._raw({p: Fraction(-(P // (p**s - 1)), R) for p in primes})
     return lhs, rhs

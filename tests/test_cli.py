@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ramsum import identities
 from ramsum.cli import main
 from ramsum.errors import InternalConsistencyError
 
@@ -374,6 +375,46 @@ class TestBernoulliBudget:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "--m" in err and "at least 0" in err and "Traceback" not in err
+
+
+class TestGridSize:
+    """A grid past identities._GRID_POINT_LIMIT points is refused while it is
+    built, before any point runs, however far its flags reach."""
+
+    HUGE = "1" + "0" * 30
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coprime-power-sum", "--n-max", "1", "--r-max", HUGE],
+            ["power-sum", "--n-max", HUGE],
+            ["log-weight", "--k-max", HUGE],
+            ["log-weight", "--s-max", HUGE],
+            ["mu-log-lemma", "--k-max", HUGE],
+            ["mu-log-lemma", "--s-max", HUGE],
+            ["g-multiplicative", "--tuples", HUGE],
+            ["multivariate", "--ks", "1", "--s-max", HUGE],
+        ],
+    )
+    def test_refused_while_built(self, capsys, monkeypatch, argv):
+        def never(point):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(identities, "_run_point", never)
+        started = time.perf_counter()
+        code, out, err = run_main(capsys, "verify", *argv)
+        assert time.perf_counter() - started < 10
+        assert (code, out) == (1, "")
+        limit = identities._GRID_POINT_LIMIT
+        assert err == f"ramsum: error: the grid passes {limit} points, the limit of one verify run\n"
+
+    @pytest.mark.parametrize("identity, passed", [("alkan", 52), ("alkan-classical", 40), ("gamma-weight", 11)])
+    def test_k_past_the_cap_ends_the_grid(self, capsys, identity, passed):
+        # every k past the cap has k^s > cap, so the grid stops there, not at --k-max
+        started = time.perf_counter()
+        code, out, _ = run_main(capsys, "verify", identity, "--cap", "10", "--k-max", self.HUGE)
+        assert time.perf_counter() - started < 10
+        assert code == 0 and out.endswith(f"summary pass={passed} fail=0 findings=0\n")
 
 
 class TestInternalError:

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsum.arith import euler_phi, factorize, jordan_totient, moebius_divisors
+from ramsum import identities
+from ramsum.arith import euler_phi, factorize, jordan_totient, moebius_divisors, von_mangoldt
 from ramsum.csum import csum_moebius, csum_table
 from ramsum.errors import ResourceLimitError
 from ramsum.exactnum import bernoulli_number
@@ -55,8 +56,10 @@ from ramsum.identities import (
     weight_value,
     _exp_spectrum,
     _json_params,
+    _json_row,
+    _run_point,
 )
-from ramsum.logspace import LogLinear
+from ramsum.logspace import LogLinear, float_value, log_factorial
 
 
 class TestWeightSpecs:
@@ -152,6 +155,33 @@ class TestLogWeight:
         report = run_suite(SuiteConfig(identities=("log-weight",), k_min=4, k_max=4, s=2))
         assert (report.passed, report.failed, report.findings) == (0, 0, 1)
 
+    @staticmethod
+    def log_vector_sides(k, s):
+        """Both sides as LogLinear sums, one Fraction per term: the form the
+        integer sides replace, kept as their oracle."""
+        num = {}
+        for j in range(2, k + 1):
+            c = csum_moebius(k, j, s)
+            for p, e in factorize(j).factors if c else ():
+                num[p] = num.get(p, 0) + c * e
+        lhs = LogLinear({p: Fraction(v, k) for p, v in num.items()})
+        fac = factorize(k)
+        rhs = s * von_mangoldt(fac)
+        for d, mu in moebius_divisors(fac):
+            if k // d**s >= 2:
+                rhs = rhs + Fraction(d**s, k) * mu * log_factorial(k // d**s)
+        diff = lhs - rhs
+        return lhs, rhs, abs(float_value(diff)), diff.is_zero
+
+    def test_integer_sides_equal_the_log_vector_sums(self):
+        for k in range(1, 301):
+            for s in range(1, 7):
+                out = check_log_weight(k, s)
+                lhs, rhs, residual, passed = self.log_vector_sides(k, s)
+                assert (out.lhs, out.rhs, out.passed) == (lhs, rhs, passed), (k, s)
+                # the residual bit for bit, not merely close
+                assert out.residual.hex() == residual.hex(), (k, s)
+
 
 class TestGcdWeight:
     @given(
@@ -191,6 +221,18 @@ class TestGammaWeight:
     def test_tolerance_is_relative(self):
         out = check_gamma_weight(6, 1, tol=1e-30)
         assert not out.passed and out.classification == "mismatch"
+
+    def test_lhs_is_the_scalar_sum_bit_for_bit(self):
+        # at every key of the --k-max 120 sweep the one-pass sum equals the
+        # per-element comprehension it replaces
+        keys = [(p["k"], p["s"]) for _, p, _, _ in build_grid(SuiteConfig(identities=("gamma-weight",), k_max=120))]
+        assert len(keys) == 238
+        for k, s in keys:
+            K = k**s
+            vals = csum_table(k, s).array.tolist()
+            terms = [math.lgamma(j / K) * vals[j] for j in range(1, K) if vals[j]]
+            expect = math.fsum(terms) / jordan_totient(s, factorize(k))
+            assert check_gamma_weight(k, s).lhs.hex() == expect.hex(), (k, s)
 
 
 class TestGaussProduct:
@@ -605,6 +647,16 @@ class TestSuiteRunner:
         log_s1 = CheckResult("log-weight", {"k": 4, "s": 1}, 0, 1, 1.0, "exact", False, "finding-mismatch")
         assert not is_finding(log_s1)
 
+    def test_grid_at_the_point_limit_is_built(self):
+        limit = identities._GRID_POINT_LIMIT
+        assert len(build_grid(SuiteConfig(identities=("coprime-power-sum",), n_max=1, r_max=limit))) == limit
+        with pytest.raises(ResourceLimitError, match=f"the grid passes {limit} points"):
+            build_grid(SuiteConfig(identities=("coprime-power-sum",), n_max=1, r_max=limit + 1))
+        # the limit counts the points of every selected grid together
+        with pytest.raises(ResourceLimitError):
+            build_grid(SuiteConfig(identities=("power-sum", "coprime-power-sum"), n_max=1, r_max=limit // 2 + 1))
+        assert len(build_grid(SuiteConfig(k_max=240))) == 25377
+
     def test_g_multiplicative_grid_respects_seed(self):
         cfg = SuiteConfig(identities=("g-multiplicative",), tuples=10, seed=5)
         assert build_grid(cfg) == build_grid(cfg)
@@ -628,20 +680,21 @@ class TestJsonTemplate:
         return repr(v) if isinstance(v, complex) else str(v)
 
     @classmethod
+    def row(cls, r):
+        return {
+            "identity": r.identity,
+            "params": r.params,
+            "lhs": cls.value(r.lhs),
+            "rhs": cls.value(r.rhs),
+            "residual": r.residual,
+            "mode": r.mode,
+            "pass": r.passed,
+            "classification": r.classification,
+        }
+
+    @classmethod
     def oracle(cls, report):
-        rows = [
-            {
-                "identity": r.identity,
-                "params": r.params,
-                "lhs": cls.value(r.lhs),
-                "rhs": cls.value(r.rhs),
-                "residual": r.residual,
-                "mode": r.mode,
-                "pass": r.passed,
-                "classification": r.classification,
-            }
-            for r in report.results
-        ]
+        rows = [cls.row(r) for r in report.results]
         summary = {"pass": report.passed, "fail": report.failed, "findings": report.findings}
         doc = {"suite": report.suite, "results": rows, "summary": summary}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -681,6 +734,23 @@ class TestJsonTemplate:
         with pytest.raises(TypeError):
             _json_params({"k": 2, "s": bad}, "      ")
 
+    def test_row_of_every_params_shape(self, monkeypatch):
+        # one point of each registry identity, then params the registry never
+        # builds: empty, an empty list, and keys that need escaping in a format
+        monkeypatch.setattr(identities, "_ROW_FORMATS", {})
+        results = [_run_point(build_grid(SuiteConfig(identities=(identity,)))[0]) for identity in ALL_IDENTITIES]
+        results += [
+            CheckResult("gauss-product", {}, 1.5, 1.5, 0.0, "float", True, "numerical-pass"),
+            CheckResult("g-multiplicative", {"ks": [7, 1], "ks2": [], "m": 0, "s": 3}, 1, 1, 0.0, "exact", True, "v"),
+            CheckResult("x", {"{k}": 1, "caf\u00e9 {}": "\u2603", "a\"b": [[2], []]}, 0, 0, 0.0, "exact", True, "v"),
+        ]
+        shapes = {tuple(r.params) for r in results}
+        assert {"ks", "ks2"} <= set().union(*shapes) and () in shapes
+        for r in results + results:
+            layout = json.dumps(self.row(r), sort_keys=True, indent=2)
+            assert _json_row(r) == "\n".join("    " + line for line in layout.splitlines())
+        assert set(identities._ROW_FORMATS) == shapes
+
     def test_empty_result_list(self):
         report = IdentityReport(dict(self.SUITE), [], 0, 0, 0)
         assert render_report(report, "json") == self.oracle(report)
@@ -691,6 +761,13 @@ class TestJsonTemplate:
 
     def test_default_grid(self, default_report):
         assert render_report(default_report, "json") == self.oracle(default_report)
+
+    def test_one_row_format_per_params_shape(self, default_report, monkeypatch):
+        monkeypatch.setattr(identities, "_ROW_FORMATS", {})
+        render_report(default_report, "json")
+        render_report(default_report, "json")
+        shapes = {tuple(r.params) for r in default_report.results}
+        assert len(shapes) == 11 and set(identities._ROW_FORMATS) == shapes
 
     def test_csv_cells_match_json_values(self, default_report):
         header, *cells = csv.reader(io.StringIO(render_report(default_report, "csv")))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from ramsum.logspace import (
     float_value,
     TWO_PI,
     LogLinear,
+    legendre_exponents,
     log_factorial,
     log_of_integer,
     mu_log_lemma_sides,
@@ -112,6 +114,15 @@ class TestLogFactorial:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             log_factorial(-1)
+        with pytest.raises(ValueError):
+            legendre_exponents(-1)
+
+    def test_legendre_exponents_are_the_integer_coefficients(self):
+        # 10! = 2^8 3^4 5^2 7
+        assert legendre_exponents(10) == {2: 8, 3: 4, 5: 2, 7: 1}
+        assert legendre_exponents(1) == legendre_exponents(0) == {}
+        for n in range(60):
+            assert log_factorial(n) == LogLinear(legendre_exponents(n))
 
 
 class TestMuLogLemma:
@@ -143,6 +154,21 @@ class TestMuLogLemma:
         expect = LogLinear({p: scale * Fraction(1, p - 1) for p, _ in fac.factors})
         _, rhs = mu_log_lemma_sides(k, 1)
         assert rhs == expect
+
+    @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=8))
+    def test_integer_sides_equal_the_fraction_subset_sums(self, k, s):
+        # the form the integer sums replace: one Fraction per subset and prime
+        fac = factorize(k)
+        primes = fac.primes()
+        lhs = {p: Fraction(0) for p in primes}
+        for t in range(1, len(primes) + 1):
+            for subset in combinations(primes, t):
+                w = Fraction((-1) ** t, math.prod(subset) ** s)
+                for p in subset:
+                    lhs[p] += w
+        scale = -Fraction(jordan_totient(s, fac), k**s)
+        rhs = {p: scale / (p**s - 1) for p in primes}
+        assert mu_log_lemma_sides(k, s) == (LogLinear(lhs), LogLinear(rhs))
 
     @given(st.integers(min_value=2, max_value=150), st.integers(min_value=1, max_value=3))
     def test_rhs_scale_is_jordan_ratio(self, k, s):
