@@ -5,8 +5,8 @@ over divisors d of the generalized gcd; the Hoelder route uses the closed
 form J_s(k) mu(k/e) / J_s(k/e); the direct route adds the k^s-th roots of
 unity over the s-coprime residues, each root the product of a row root and a
 column root so that one matrix product over the residue mask does the sum,
-and answers a reused (k, s) from one real FFT of their indicator, kept for
-the process under one byte budget.  Each exact route memoizes only the gcd
+and answers a reused (k, s) from one real FFT of their indicator, kept in
+ramsum.store under its byte budget.  Each exact route memoizes only the gcd
 class it is asked for and shares no cached state with the other, so their
 agreement is an independent check.
 """
@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import store
 from .arith import factorize, gen_gcd, jordan_totient, moebius, moebius_divisors
 from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
 
@@ -27,6 +28,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_CAP = 1_000_000
+_kept = store.kept["spectrum"]  # the direct route's spectra, by (k, s)
 
 
 class CsumEvaluation(NamedTuple):
@@ -194,39 +196,6 @@ def _spectrum(k: int, s: int, mask: np.ndarray) -> np.ndarray:
     return spec
 
 
-# Every spectrum the direct route has built, by (k, s) in the order built,
-# and their total bytes, which never pass _SPECTRUM_BYTES: two spectra of a
-# DEFAULT_CAP period (4.0 MB each) fit.  A spectrum larger than the budget
-# (reachable only with a larger cap) is kept apart, the newest one alone.
-_SPECTRUM_BYTES = 1 << 23
-_spectra: dict[tuple[int, int], np.ndarray] = {}
-_spectra_nbytes = 0
-_oversize: tuple = (None, None)
-
-
-def _keep_spectrum(k: int, s: int, spec: np.ndarray) -> None:
-    """Store spec under (k, s), evicting the oldest-built spectra until the
-    total is back within _SPECTRUM_BYTES; one larger than that takes the
-    oversize slot from the one before it and evicts nothing."""
-    global _spectra_nbytes, _oversize
-    if spec.nbytes > _SPECTRUM_BYTES:
-        _oversize = (k, s), spec
-        return
-    _spectra[k, s] = spec
-    _spectra_nbytes += spec.nbytes
-    while _spectra_nbytes > _SPECTRUM_BYTES:
-        _spectra_nbytes -= _spectra.pop(next(iter(_spectra))).nbytes
-
-
-def _clear_direct() -> None:
-    """Forget every direct-route mask and kept spectrum."""
-    global _spectra_nbytes, _oversize
-    _direct_context.cache_clear()
-    _spectra.clear()
-    _spectra_nbytes = 0
-    _oversize = (None, None)
-
-
 def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
     """c_k^(s)(j) summed over the unit circle.
 
@@ -235,24 +204,20 @@ def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
     J_s(k) of the exact sum in each part, B = isqrt(k^s - 1) + 1.  A later
     call while its mask is among the four most recent reads one bin of the
     real FFT spectrum of the s-coprime indicator, which that call builds
-    once.  Built spectra are kept for the process, evicted oldest-built
-    first once they pass 2^23 bytes together; one larger than that is kept
-    until the next such one is built.  Every call for a kept key is one
-    array read.  Refuses once k^s exceeds cap rather than silently
-    truncating the range.
+    once and keeps in ramsum.store; every call for a kept key is one array
+    read.  Refuses once k^s exceeds cap rather than silently truncating the
+    range.
     """
     K = _period(k, s, cap, "direct summation")
     r = j % K
-    spec = _spectra.get((k, s))
-    if spec is None and _oversize[0] == (k, s):
-        spec = _oversize[1]
+    spec = _kept.get((k, s))
     if spec is None:
         ctx = _direct_context(k, s)
         if ctx.cold:
             ctx.cold = False
             return _root_sum(ctx.mask, r)
         spec = _spectrum(k, s, ctx.mask)
-        _keep_spectrum(k, s, spec)
+        store.keep("spectrum", (k, s), spec, spec.nbytes)
     return complex(spec.item(min(r, K - r)))
 
 

@@ -14,6 +14,7 @@ import threading
 from fractions import Fraction
 from math import comb, prod
 
+from . import store
 from .arith import factorize, primes_up_to
 from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
 
@@ -36,6 +37,7 @@ def binomial(n: int, k: int) -> int:
 
 _bern: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 _bern_lock = threading.Lock()
+_kept = store.kept["row"]  # the Bernoulli rows, by n
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -124,15 +126,6 @@ def _row_budget(n: int) -> None:
         )
 
 
-# Every Bernoulli row built, with its bytes, by n in the order built, and
-# their total bytes, which never pass _ROW_BYTES; a row larger than that is
-# not kept.  Rows 0..324 fit together.
-_ROW_BYTES = 1 << 22
-_rows: dict[int, tuple] = {}
-_rows_nbytes = 0
-_rows_lock = threading.Lock()
-
-
 def _bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
     """(a, D): D the lcm of the denominators of B_0..B_n and a_i = C(n, i) B_i D,
     so that D B_n(x) = sum_i a_i x^(n-i) in integers a_i.
@@ -141,12 +134,11 @@ def _bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
     product of the primes p <= n + 1 (p = 2 from B_1), each numerator is
     scaled by D // den(B_i), and the binomial steps over the even i as
     C(n, i) = C(n, i-2) (n-i+2) (n-i+1) / ((i-1) i); odd i > 1 hold 0.
-    Kept under _ROW_BYTES, the oldest-built rows evicted first.
+    Kept in ramsum.store.
     """
-    global _rows_nbytes
-    kept = _rows.get(n)
-    if kept is not None:
-        return kept[0]
+    row = _kept.get(n)
+    if row is not None:
+        return row
     bernoulli_number(n)
     with _bern_lock:
         bs = _bern[: n + 1]
@@ -161,14 +153,7 @@ def _bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
         b = bs[i]
         a[i] = c * b.numerator * (D // b.denominator)
     row = tuple(a), D
-    nbytes = sum(map(sys.getsizeof, a))
-    if nbytes <= _ROW_BYTES:
-        with _rows_lock:
-            if n not in _rows:
-                _rows[n] = row, nbytes
-                _rows_nbytes += nbytes
-                while _rows_nbytes > _ROW_BYTES:
-                    _rows_nbytes -= _rows.pop(next(iter(_rows)))[1]
+    store.keep("row", n, row, sum(map(sys.getsizeof, a)))
     return row
 
 

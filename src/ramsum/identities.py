@@ -22,7 +22,7 @@ from operator import itemgetter, mul
 from typing import TYPE_CHECKING
 
 from .arith import divisors, euler_phi, factorize, jordan_totient, moebius_divisors, tau_sigma, von_mangoldt
-from .csum import CsumTable, _moment_state, _period, csum_moebius, csum_table, theta
+from .csum import CsumTable, _digit_budget, _moment_state, _period, csum_moebius, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import (
     _bernoulli_budget,
@@ -359,8 +359,9 @@ def g_divisor_sum(ks, s: int, m: int) -> Fraction:
         raise ValueError("ks must be positive integers")
     if s < 1 or m < 0:
         raise ValueError("need s >= 1 and m >= 0")
-    per_axis = [[(d, d**s * mu) for d, mu in moebius_divisors(factorize(k))] for k in ks]
     L = reduce(math.lcm, ks, 1)
+    _digit_budget(L, max(2 * m - 1, 1) * s, f"the powers of lcm(ks) in g_{m} at ks={ks}, s={s}")
+    per_axis = [[(d, d**s * mu) for d, mu in moebius_divisors(factorize(k))] for k in ks]
     total = 0
     for combo in product(*per_axis):
         num = math.prod(w for _, w in combo)
@@ -402,9 +403,7 @@ def check_g_multiplicative(ks, ks2, s: int, m: int) -> CheckResult:
     ks, ks2 = list(ks), list(ks2)
     if len(ks) != len(ks2):
         raise ValueError("tuples must have equal length")
-    prod_a = reduce(lambda a, b: a * b, ks, 1)
-    prod_b = reduce(lambda a, b: a * b, ks2, 1)
-    if math.gcd(prod_a, prod_b) != 1:
+    if math.gcd(math.prod(ks), math.prod(ks2)) != 1:
         raise ValueError("tuples must be coprime")
     lhs = g_divisor_sum([a * b for a, b in zip(ks, ks2)], s, m)
     rhs = g_divisor_sum(ks, s, m) * g_divisor_sum(ks2, s, m)
@@ -614,7 +613,7 @@ def _grid_g_multiplicative(cfg):
     for _ in range(cfg.tuples):
         n = rng.randint(1, 3)
         a = [rng.randint(1, 10) for _ in range(n)]
-        prod_a = reduce(lambda x, y: x * y, a, 1)
+        prod_a = math.prod(a)
         pool = [v for v in range(1, 13) if math.gcd(v, prod_a) == 1]
         b = [rng.choice(pool) for _ in range(n)]
         # randint draws what choice(svals) draws, with no len() past sys.maxsize

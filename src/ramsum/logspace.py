@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .arith import factorize, jordan_totient, primes_up_to
+from .csum import _digit_budget
 from .exactnum import rat_str
 
 TWO_PI = "2pi"
@@ -160,6 +161,7 @@ def mu_log_lemma_sides(k: int, s: int) -> tuple[LogLinear, LogLinear]:
     fac = factorize(k)
     primes = fac.primes()
     rad = math.prod(primes)
+    _digit_budget(rad, s, f"rad(k)^s in the mu-log lemma at k={k}, s={s}")
     lhs_num = dict.fromkeys(primes, 0)
     for t in range(1, len(primes) + 1):
         for subset in combinations(primes, t):

@@ -2,6 +2,7 @@ import os
 from pathlib import Path
 
 import hypothesis
+import pytest
 
 # subprocess tests run `python -m ramsum`; let them import this checkout's src
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -15,3 +16,21 @@ hypothesis.settings.register_profile(
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
 hypothesis.settings.load_profile("suite")
+
+
+@pytest.fixture
+def cleared(monkeypatch):
+    """Empty ramsum.store and the direct route's mask window before the test,
+    after it and at each call of the returned function; a call given a byte
+    count also sets the store's budget to it for the rest of the test."""
+    from ramsum import csum, store
+
+    def clear(budget=None):
+        store.clear()
+        csum._direct_context.cache_clear()
+        if budget is not None:
+            monkeypatch.setattr(store, "BUDGET", budget)
+
+    clear()
+    yield clear
+    clear()

@@ -167,6 +167,10 @@ class TestDigitBudget:
             # a report row's exact sides, found past the limit only when rendered
             ("verify", "gcd-weight", "--weights", "power:5000", "--k-max", "3"),
             ("verify", "g-multiplicative", "--m-max", "3000", "--tuples", "3"),
+            # one point with a huge s, refused before rad(k)^s or a power of lcm(ks) is built
+            ("verify", "mu-log-lemma", "--k-max", "2", "--s", "100000000"),
+            ("verify", "mu-log-lemma", "--k-max", "2", "--s", str(10**30)),
+            ("verify", "g-multiplicative", "--tuples", "1", "--s", str(10**30)),
         ],
     )
     def test_refused_by_name(self, capsys, argv):
@@ -182,6 +186,11 @@ class TestDigitBudget:
         code, out, _ = run_main(capsys, "eval", "csum", "--k", "6", "--j", "0", "--s", "5000", "--method", "hoelder")
         assert code == 0
         assert int(out) == 6**5000 - 3**5000 - 2**5000 + 1
+
+    def test_mu_log_lemma_is_budgeted_on_rad_k(self, capsys):
+        # its sides are over rad(4)^8000 = 2^8000, 2409 digits, though 4^8000 has 4817
+        code, out, _ = run_main(capsys, "verify", "mu-log-lemma", "--k-min", "4", "--k-max", "4", "--s", "8000")
+        assert code == 0 and out.endswith("summary pass=1 fail=0 findings=0\n")
 
 
 class TestBernoulliBudget:
@@ -298,15 +307,13 @@ class TestBernoulliBudget:
             (["bernoulli-weight", "--k-max", "1", "--m-max", "775"], 1552),
         ],
     )
-    def test_largest_accepted_row_runs_in_bounded_time(self, capsys, monkeypatch, argv, passed):
+    def test_largest_accepted_row_runs_in_bounded_time(self, capsys, monkeypatch, cleared, argv, passed):
         # row 775 is the largest _ROW_WORK_LIMIT accepts: power-sum's r_max 774
         # reads it, as bernoulli-weight's m_max 775 does; from cold memos every
         # row up to it is built, in about 1 and 2 s on a 2-CPU host
         from ramsum import exactnum
 
         monkeypatch.setattr(exactnum, "_bern", [Fraction(1), Fraction(-1, 2)])
-        monkeypatch.setattr(exactnum, "_rows", {})
-        monkeypatch.setattr(exactnum, "_rows_nbytes", 0)
         started = time.perf_counter()
         code, out, _ = run_main(capsys, "verify", *argv)
         assert time.perf_counter() - started < 15
@@ -418,7 +425,7 @@ class TestGridSize:
 
 
 class TestInternalError:
-    def test_spectrum_past_its_bound_is_exit_3(self, capsys, monkeypatch):
+    def test_spectrum_past_its_bound_is_exit_3(self, capsys, monkeypatch, cleared):
         from ramsum import csum
 
         rfft = np.fft.rfft
@@ -428,18 +435,13 @@ class TestInternalError:
             X[1] += 1e-6j
             return X
 
-        csum._clear_direct()
         monkeypatch.setattr(np.fft, "rfft", perturbed)
-        try:
-            csum.csum_direct(97, 3)  # cold: summed from row and column roots
-            with pytest.raises(InternalConsistencyError):
-                csum.csum_direct(97, 4)  # reused: builds the spectrum
-            argv = ("eval", "csum", "--k", "101", "--j", "5", "--method", "direct")
-            assert run_main(capsys, *argv)[0] == 0
-            code, out, err = run_main(capsys, *argv)
-        finally:
-            monkeypatch.undo()
-            csum._clear_direct()
+        csum.csum_direct(97, 3)  # cold: summed from row and column roots
+        with pytest.raises(InternalConsistencyError):
+            csum.csum_direct(97, 4)  # reused: builds the spectrum
+        argv = ("eval", "csum", "--k", "101", "--j", "5", "--method", "direct")
+        assert run_main(capsys, *argv)[0] == 0
+        code, out, err = run_main(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("ramsum: internal error: spectrum of k=101, s=1")
         assert err.count("\n") == 1 and "Traceback" not in err

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsum import csum
+from ramsum import csum, store
 from ramsum.arith import divisors, factorize, gen_gcd, jordan_totient, moebius
 from ramsum.csum import (
     CsumEvaluation,
@@ -194,21 +194,19 @@ class TestEvaluationRecord:
         with pytest.raises(AttributeError):
             out.extra = 0
 
-    def test_values_are_ints_on_every_path(self):
-        csum._clear_direct()
+    def test_values_are_ints_on_every_path(self, cleared):
         for method in ("moebius", "hoelder"):
             assert type(csum_eval(36, 7, 2, method).value) is int
         cold = csum_eval(36, 7, 2, "direct")
         csum_eval(36, 8, 2, "direct")
-        assert (36, 2) in csum._spectra
+        assert (36, 2) in csum._kept
         kept = csum_eval(36, 9, 2, "direct")
         assert type(cold.value) is int and type(kept.value) is int
         assert (cold.value, kept.value) == (csum_moebius(36, 7, 2), csum_moebius(36, 9, 2))
 
-    def test_direct_sum_is_complex_on_both_paths(self):
-        csum._clear_direct()
+    def test_direct_sum_is_complex_on_both_paths(self, cleared):
         cold = csum_direct(36, 7, 2)
-        assert (36, 2) not in csum._spectra
+        assert (36, 2) not in csum._kept
         built = csum_direct(36, 8, 2)
         kept = csum_direct(36, 9, 2)
         assert [type(z) for z in (cold, built, kept)] == [complex] * 3
@@ -277,7 +275,7 @@ class TestDirectSpectrum:
     period."""
 
     @pytest.mark.parametrize("k, s", SPECTRUM_PERIODS)
-    def test_every_j_cold_and_spectrum(self, k, s):
+    def test_every_j_cold_and_spectrum(self, k, s, cleared):
         K = k**s
         rng = random.Random(K)
         far = [-1, -K - 1, 2**64, 2**64 + 1, -(2**64) - 3, 3 * 2**70 - 1]
@@ -287,30 +285,29 @@ class TestDirectSpectrum:
         # the cold call at every j of the small periods, at a sample of the large
         cold = range(len(js)) if K <= 101 else [0, 1, K // 2, K - 1, *range(K, len(js))] + rng.sample(range(K), 20)
         for i in cold:
-            csum._clear_direct()
+            cleared()
             z = csum_direct(k, js[i], s)
-            assert (k, s) not in csum._spectra
+            assert (k, s) not in csum._kept
             assert abs(z - exact[i]) < DIRECT_TOL, (k, s, js[i])
         for i, j in enumerate(js):
             z = csum_direct(k, j, s)
             assert z.imag == 0.0
             assert abs(z.real - exact[i]) < DIRECT_TOL, (k, s, j)
-        assert (k, s) in csum._spectra
+        assert (k, s) in csum._kept
         # the oracle sums in pure Python, one math.cos and math.sin per term
         for j in ([*js[:K], *far] if K <= 101 else [0, 1, K - 1, *far[:2]]):
             assert abs(fsum_oracle(k, j, s) - csum_moebius(k, j, s)) < DIRECT_TOL, (k, s, j)
 
-    def test_spectrum_is_built_on_the_second_call(self):
-        csum._clear_direct()
+    def test_spectrum_is_built_on_the_second_call(self, cleared):
         csum_direct(30, 7, 2)
-        assert (30, 2) not in csum._spectra
+        assert (30, 2) not in csum._kept
         csum_direct(30, 8, 2)
-        built = csum._spectra[30, 2]
+        built = csum._kept[30, 2]
         assert built.shape == (900 // 2 + 1,) and not built.flags.writeable
         csum_direct(30, 9, 2)
-        assert csum._spectra[30, 2] is built
+        assert csum._kept[30, 2] is built
 
-    def test_perturbed_spectrum_is_refused(self, monkeypatch):
+    def test_perturbed_spectrum_is_refused(self, monkeypatch, cleared):
         rfft = np.fft.rfft
 
         def perturbed(x):
@@ -318,34 +315,25 @@ class TestDirectSpectrum:
             X[0] += 1e-6
             return X
 
-        csum._clear_direct()
         monkeypatch.setattr(np.fft, "rfft", perturbed)
-        try:
-            csum_direct(120, 1, 2)
-            with pytest.raises(InternalConsistencyError, match="past its bound"):
-                csum_direct(120, 2, 2)
-            assert csum._spectra == {} and csum._spectra_nbytes == 0
-            monkeypatch.undo()
-            assert abs(csum_direct(120, 3, 2) - csum_moebius(120, 3, 2)) < DIRECT_TOL
-            assert list(csum._spectra) == [(120, 2)]
-        finally:
-            monkeypatch.undo()
-            csum._clear_direct()
+        csum_direct(120, 1, 2)
+        with pytest.raises(InternalConsistencyError, match="past its bound"):
+            csum_direct(120, 2, 2)
+        assert csum._kept == {} and store._nbytes == 0
+        monkeypatch.undo()
+        assert abs(csum_direct(120, 3, 2) - csum_moebius(120, 3, 2)) < DIRECT_TOL
+        assert list(csum._kept) == [(120, 2)]
 
 
+@pytest.mark.usefixtures("cleared")
 class TestSpectrumStore:
-    """Built spectra are kept past their masks, oldest-built evicted first
-    once their bytes pass _SPECTRUM_BYTES; one larger than that budget is
-    kept alone until the next such one is built."""
-
-    @pytest.fixture(autouse=True)
-    def cleared(self):
-        csum._clear_direct()
-        yield
-        csum._clear_direct()
+    """A built spectrum is kept in ramsum.store past its mask, oldest built
+    evicted first once the kept bytes pass store.BUDGET; one larger than that
+    budget is kept alone until the next such one is built."""
 
     def assert_within_budget(self):
-        assert csum._spectra_nbytes == sum(v.nbytes for v in csum._spectra.values()) <= csum._SPECTRUM_BYTES
+        budgeted = {key: v.nbytes for key, v in csum._kept.items() if ("spectrum", key) != store._oversize}
+        assert store._nbytes == sum(budgeted.values()) <= store.BUDGET
 
     def test_spectrum_outlives_its_context(self, monkeypatch):
         csum_direct(30, 1, 2)
@@ -360,27 +348,29 @@ class TestSpectrumStore:
         for j in range(900):
             assert abs(csum_direct(30, j, 2) - csum_moebius(30, j, 2)) < DIRECT_TOL, j
 
-    def test_third_spectrum_evicts_the_oldest_built(self, monkeypatch):
+    def test_third_spectrum_evicts_the_oldest_built(self, cleared):
         keys = [(100, 1), (101, 1), (10, 2)]  # 51 bins each
-        monkeypatch.setattr(csum, "_SPECTRUM_BYTES", 2 * 51 * 8)
+        cleared(2 * 51 * 8)
         for i, (k, s) in enumerate(keys):
             csum_direct(k, 1, s)
             csum_direct(k, 2, s)
             self.assert_within_budget()
-            assert list(csum._spectra) == keys[max(0, i - 1) : i + 1]
+            assert list(csum._kept) == keys[max(0, i - 1) : i + 1]
 
-    def test_oversize_spectrum_is_answered_not_kept(self, monkeypatch):
-        monkeypatch.setattr(csum, "_SPECTRUM_BYTES", 51 * 8)
+    def test_oversize_spectrum_is_answered_not_kept(self, cleared):
+        # answered, and not kept within the budget: the budgeted spectrum stays
+        cleared(51 * 8)
         csum_direct(100, 1)
         csum_direct(100, 2)
-        kept = csum._spectra[100, 1]
+        kept = csum._kept[100, 1]
         for j in range(900):  # 451 bins, past the budget
             assert abs(csum_direct(30, j, 2) - csum_moebius(30, j, 2)) < DIRECT_TOL, j
-        assert csum._spectra == {(100, 1): kept}
+        assert csum._kept[100, 1] is kept and store._oversize == ("spectrum", (30, 2))
+        assert list(store._built) == [("spectrum", (100, 1))]
         self.assert_within_budget()
 
-    def test_newest_oversize_spectrum_is_kept_alone(self, monkeypatch):
-        monkeypatch.setattr(csum, "_SPECTRUM_BYTES", 51 * 8)
+    def test_newest_oversize_spectrum_is_kept_alone(self, monkeypatch, cleared):
+        cleared(51 * 8)
         rfft = np.fft.rfft
         sizes = []
 
@@ -392,15 +382,16 @@ class TestSpectrumStore:
         for j in range(900):  # 451 bins, past the budget
             assert abs(csum_direct(30, j, 2) - csum_moebius(30, j, 2)) < DIRECT_TOL, j
         assert sizes == [900]
-        assert csum._oversize[0] == (30, 2) and csum._spectra == {}
+        assert store._oversize == ("spectrum", (30, 2)) and list(csum._kept) == [(30, 2)]
         for j in range(400):  # 201 bins, also past it: takes the slot
             assert abs(csum_direct(20, j, 2) - csum_moebius(20, j, 2)) < DIRECT_TOL, j
         assert sizes == [900, 400]
-        assert csum._oversize[0] == (20, 2) and csum._spectra == {}
+        assert store._oversize == ("spectrum", (20, 2)) and list(csum._kept) == [(20, 2)]
         csum_direct(30, 1, 2)  # its mask is still cached, its spectrum is gone
-        assert sizes == [900, 400, 900] and csum._oversize[0] == (30, 2)
-        csum._clear_direct()
-        assert csum._oversize == (None, None)
+        assert sizes == [900, 400, 900] and store._oversize == ("spectrum", (30, 2))
+        self.assert_within_budget()
+        store.clear()
+        assert store._oversize is None and csum._kept == {}
 
 
 # the largest prime period and the largest square the default cap admits, and
@@ -414,15 +405,10 @@ def root_sum_bound(k, s):
     return (math.isqrt(k**s - 1) + 1 + 48) * 2.0**-53 * jordan_totient(s, factorize(k))
 
 
+@pytest.mark.usefixtures("cleared")
 class TestRootSum:
     """A cold call sums the roots of unity as row roots times column roots:
     about 4 sqrt(K) cosines and sines, within the bound its docstring derives."""
-
-    @pytest.fixture(autouse=True)
-    def cleared(self):
-        csum._clear_direct()
-        yield
-        csum._clear_direct()
 
     def test_trig_work_is_about_four_root_k(self, monkeypatch):
         args = {"cos": 0, "sin": 0}
@@ -454,13 +440,13 @@ class TestRootSum:
         for j in (0, 1, K // 2, K - 1, 2**64 + 1):
             csum._direct_context(k, s).cold = True
             z = csum_direct(k, j, s)
-            assert (k, s) not in csum._spectra
+            assert (k, s) not in csum._kept
             assert abs(z.real - csum_moebius(k, j, s)) <= bound, (k, s, j)
             assert abs(z.imag) <= bound, (k, s, j)
 
-    def test_agrees_with_the_term_by_term_oracle(self):
+    def test_agrees_with_the_term_by_term_oracle(self, cleared):
         for j in (3, 2**64 + 1):
-            csum._clear_direct()
+            cleared()
             assert abs(csum_direct(99991, j, 1) - fsum_oracle(99991, j, 1)) <= root_sum_bound(99991, 1), j
 
 
@@ -473,20 +459,15 @@ class TestDirectMask:
         assert mask.dtype == bool and mask.shape == (k**s,)
         assert mask.tolist() == [theta(k, m, s) == 1 for m in range(k**s)]
 
-    def test_count_mismatch_is_an_internal_error(self, monkeypatch, capsys):
+    def test_count_mismatch_is_an_internal_error(self, monkeypatch, capsys, cleared):
         from ramsum.cli import main
 
         real = csum.jordan_totient
-        csum._clear_direct()
         monkeypatch.setattr(csum, "jordan_totient", lambda s, fac: real(s, fac) + 1)
-        try:
-            with pytest.raises(InternalConsistencyError, match="residue count mismatch for k=30, s=2"):
-                csum_direct(30, 7, 2)
-            assert main(["eval", "csum", "--k", "30", "--j", "7", "--s", "2", "--method", "direct"]) == 3
-            assert capsys.readouterr().err.startswith("ramsum: internal error: s-coprime residue count mismatch")
-        finally:
-            monkeypatch.undo()
-            csum._clear_direct()
+        with pytest.raises(InternalConsistencyError, match="residue count mismatch for k=30, s=2"):
+            csum_direct(30, 7, 2)
+        assert main(["eval", "csum", "--k", "30", "--j", "7", "--s", "2", "--method", "direct"]) == 3
+        assert capsys.readouterr().err.startswith("ramsum: internal error: s-coprime residue count mismatch")
 
 
 class TestTable:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsum import exactnum
+from ramsum import exactnum, store
 from ramsum.exactnum import (
     bernoulli_number,
     bernoulli_poly,
@@ -186,22 +186,20 @@ class TestBernoulliRow:
             assert list(a) == [math.comb(n, i) * bernoulli_number(i) * D for i in range(n + 1)]
             assert all(type(a_i) is int for a_i in a)
 
-    def test_kept_rows_stay_under_the_byte_budget(self, monkeypatch):
+    def test_kept_rows_stay_under_the_byte_budget(self, cleared):
         # a budget of about three rows near n = 60: building rows 40..80
         # keeps only the newest, their bytes within the budget, and a row
-        # past the budget on its own is not kept at all
-        budget = 3 * sum(map(sys.getsizeof, exactnum._bernoulli_row(60)[0]))
-        monkeypatch.setattr(exactnum, "_rows", {})
-        monkeypatch.setattr(exactnum, "_rows_nbytes", 0)
-        monkeypatch.setattr(exactnum, "_ROW_BYTES", budget)
+        # past the budget on its own is kept alone in the oversize slot
+        cleared(3 * sum(map(sys.getsizeof, exactnum._bernoulli_row(60)[0])))
         for n in range(40, 81):
             assert exactnum._bernoulli_row(n) == exactnum._bernoulli_row(n)
-        kept = exactnum._rows
+        kept = store.kept["row"]
         assert 80 in kept and 40 not in kept and len(kept) < 10
-        nbytes = sum(sum(map(sys.getsizeof, a)) for (a, _), _ in kept.values())
-        assert exactnum._rows_nbytes == nbytes <= exactnum._ROW_BYTES
+        nbytes = sum(sum(map(sys.getsizeof, a)) for a, _ in kept.values())
+        assert store._nbytes == nbytes <= store.BUDGET
         exactnum._bernoulli_row(400)
-        assert 400 not in exactnum._rows and 80 in exactnum._rows
+        assert store._oversize == ("row", 400) and ("row", 400) not in store._built
+        assert 80 in kept and store._nbytes == nbytes
 
 
 class TestBernoulliTail:
