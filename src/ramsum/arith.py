@@ -48,25 +48,85 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
+def _sieve(limit: int) -> list[int]:
+    """The primes <= limit, ascending, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes((limit - p * p) // p + 1)
+    return list(compress(range(limit + 1), flags))
+
+
+# every odd composite below TRIAL_LIMIT = 2^20 has a prime factor below 1024;
+# ordinal 0 stands for "1 or a prime" in the index, so it holds no prime
+_INDEX_PRIMES = [0] + _sieve(isqrt(TRIAL_LIMIT - 1))[1:]  # the 171 odd primes 3..1021
+_index: bytearray | None = None
+
+
+def _least_prime_factor_index() -> bytearray:
+    """index[n >> 1], for odd n < TRIAL_LIMIT, is the ordinal in _INDEX_PRIMES
+    of the least prime factor of n, or 0 when n is 1 or a prime.
+
+    One byte per odd n, 512 KiB, built on first use (about 1.5 ms) from its
+    own primes below 1024, so it serves a sieve of any limit.
+    """
+    global _index
+    if _index is None:
+        half = TRIAL_LIMIT >> 1
+        index = bytearray(half)
+        # largest prime first, so each entry ends with the least prime factor;
+        # the odd multiples n = p^2, p^2 + 2p, ... sit at p^2 >> 1 in steps of p
+        for i in range(len(_INDEX_PRIMES) - 1, 0, -1):
+            p = _INDEX_PRIMES[i]
+            start = p * p >> 1
+            index[start::p] = bytes((i,)) * ((half - 1 - start) // p + 1)
+        _index = index
+    return _index
+
+
+def _lookup(n: int) -> Factorization:
+    """Factor 1 <= n < TRIAL_LIMIT: the 2s by a bit trick, then each odd prime
+    factor, least first, by one index lookup and one run of divisions."""
+    e = (n & -n).bit_length() - 1
+    factors = [(2, e)] if e else []
+    m = n >> e
+    index = _least_prime_factor_index()
+    while m > 1:
+        i = index[m >> 1]
+        if not i:
+            factors.append((m, 1))
+            break
+        p = _INDEX_PRIMES[i]
+        m //= p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        factors.append((p, e))
+    return Factorization(n, tuple(factors))
+
+
 class PrimeSieve:
-    """The primes up to ``limit``, and factorization by trial division by them."""
+    """The primes up to ``limit``, and factorization by them."""
 
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("sieve limit must be at least 2")
         self.limit = int(limit)
-        flags = bytearray([1]) * (self.limit + 1)
-        flags[:2] = b"\0\0"
-        for p in range(2, isqrt(self.limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = bytes((self.limit - p * p) // p + 1)
-        self.primes = list(compress(range(self.limit + 1), flags))
+        self.primes = _sieve(self.limit)
 
     def factorize(self, n: int) -> Factorization:
-        """Factor n >= 1 by the primes, then by the odd numbers after them up
-        to bound = max(TRIAL_LIMIT, limit); a cofactor past bound^2 with no
-        factor up to bound raises ResourceLimitError, so every call is bounded.
+        """Factor n >= 1.  Below TRIAL_LIMIT, n is read from the
+        least-prime-factor index once it is built, which the first n past
+        the sieve limit does; a run whose moduli stay within the sieve never
+        pays for it.  Any other n goes by trial division by the primes, then
+        by the odd numbers after them up to bound = max(TRIAL_LIMIT, limit);
+        a cofactor past bound^2 with no factor up to bound raises
+        ResourceLimitError, so every call is bounded.
         """
+        if n < TRIAL_LIMIT and (_index is not None or n > self.limit):
+            return _lookup(n)
         bound = max(TRIAL_LIMIT, self.limit)
         # (last + 1) | 1, not (last | 1) + 2, which skips 3 when the primes are [2]
         odd = range((self.primes[-1] + 1) | 1, bound + 1, 2)
@@ -140,7 +200,7 @@ def primes_up_to(limit: int) -> list[int]:
         return []
     sieve = _shared_sieve()
     if limit > sieve.limit:
-        return PrimeSieve(limit).primes
+        return _sieve(limit)
     return sieve.primes[: bisect_right(sieve.primes, limit)]
 
 

@@ -66,7 +66,8 @@ def _period(k: int, s: int, cap: int, what: str) -> int:
 
 def _digit_budget(base: int, s: int, what: str) -> None:
     """ResourceLimitError once base^s would pass sys.get_int_max_str_digits()
-    decimal digits (a limit of 0 means none).
+    decimal digits, or the fixed ceiling errors.CEILING_DIGITS whatever that
+    limit is (a limit of 0 means none).
 
     Judged from s*(bitlen(base)-1) alone, before base^s is built: base^s is at
     least 2^that, which has more than that times log10(2) digits.

@@ -10,17 +10,27 @@ class ResourceLimitError(RuntimeError):
     """
 
 
-def _refuse_past_digit_limit(what: str, past=lambda limit: True) -> None:
+# a fixed ceiling on a value built on request, whatever the int-to-str limit:
+# the digits of a 2^20-bit integer, which Python 3.11 prints in about 2 s
+CEILING_DIGITS = (1 << 20) * 30102 // 100000
+
+
+def _refuse_past_digit_limit(what: str, past=None) -> None:
     """ResourceLimitError "{what} {limit} decimal digits, ..." when the
-    int-to-str limit sys.get_int_max_str_digits() is set and past(limit) holds.
+    int-to-str limit sys.get_int_max_str_digits() is set and past(limit)
+    holds (or past is None), else "{what} {CEILING_DIGITS} decimal digits,
+    ..." when past(CEILING_DIGITS) holds, whatever the limit.
 
     A limit of 0 means none; Python 3.10 before 3.10.7 has no such limit.
+    Under the default limit of 4300 digits the ceiling is never the one met.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and past(limit):
+    if limit and (past is None or past(limit)):
         raise ResourceLimitError(
             f"{what} {limit} decimal digits, the int-to-str limit sys.get_int_max_str_digits()"
         ) from None
+    if past is not None and past(CEILING_DIGITS):
+        raise ResourceLimitError(f"{what} {CEILING_DIGITS} decimal digits, the ceiling of 2^20 bits on a built value")
 
 
 class InternalConsistencyError(RuntimeError):

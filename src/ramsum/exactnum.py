@@ -85,7 +85,8 @@ def _numerator_digits(m: int) -> tuple[int, float]:
 
 def _bernoulli_budget(m: int) -> None:
     """ResourceLimitError once bernoulli_number(m) would build a numerator past
-    sys.get_int_max_str_digits() decimal digits (a limit of 0 means none).
+    sys.get_int_max_str_digits() decimal digits, or the fixed ceiling
+    errors.CEILING_DIGITS whatever that limit is (a limit of 0 means none).
 
     Judged by the last even B_n, n <= m, which the tangent pass builds.  For
     even n >= 2, |B_n| = 2 n! zeta(n) / (2 pi)^n > 2 n! / (2 pi)^n, and its

@@ -52,6 +52,9 @@ _GAUSS_N_MAX = 500
 DEFAULT_FLOAT_TOL = 1e-8
 GAUSS_TOL = 1e-9
 COSINE_TOL = 1e-9
+# the unit roundoff of a float, and gamma_3 = 3u/(1 - 3u) for three roundings
+_U = 2.0**-53
+_G3 = 3 * _U / (1 - 3 * _U)
 
 
 @dataclass(frozen=True)
@@ -282,25 +285,69 @@ def check_bernoulli_weight(k: int, s: int, m: int, cap: int = DEFAULT_SWEEP_CAP)
 
 def check_binomial_weight(k: int, s: int, tol: float | None = None) -> CheckResult:
     """sum_{j=0..k^s} C(k^s, j) c_k^(s)(j), exactly via series multisection and
-    in floating point via the signed cosine-power form."""
+    in floating point via the signed cosine-power form
+    R = 2^K sum_{d|k} mu(k/d) sum_{l=1..d^s} (-1)^(lK/d^s) cos(pi l/d^s)^K.
+
+    The float side passes when its error |R - lhs| is within a bound derived
+    per point (with --tol, when its relative error is within tol).  Proof,
+    with u = 2^-53, assuming math.cos and float ** int are within 1 ulp (2u
+    relative) and math.fsum is correctly rounded.  In one term, q = d^s,
+    y = pi l/q is the true angle, x = (math.pi * l) / q the computed one,
+    C = cos(y) and c = |computed cos(x)|:
+    - x carries three roundings, so |x - y| <= g3 y with g3 = 3u/(1 - 3u),
+      and g3 y <= h = g3 x (1 + g3).
+    - By the mean value theorem |cos x - cos y| <= h (|sin y| + h), and
+      |sin y| <= min(y, pi - y), which x and pi - x give to within O(u).
+      Rounding cos adds 2u |cos x|.  So |C - computed cos(x)| <= eps, the
+      sum of both.
+    - The K-th powers then differ by at most K eps (c + eps)^(K-1) (if the
+      signs differ, |C| + c <= eps), and the power adds 2u c^K.
+    - Each fsum adds u times its sum, the signs and mu(k/d) are exact, the
+      scaling by 2^K is exact and float(lhs) adds u |lhs|.
+    So |R - lhs| <= 2^K (sum over terms + u sum_d |I_d| + u |O|) + u |lhs|,
+    with I_d the inner sums and O the outer one.  What this drops (the
+    factors 1 + g3 and 1 + u, the O(u) in min(x, pi - x) times h, the
+    rounding of the difference and of the bound's own sums) is below a
+    relative 1e-12 of the bound for K <= 256, and the factor 1.01 covers it.
+    """
     K = _period(k, s, _BINOMIAL_CAP, "the binomial-weight sum, whose binomials grow as 2^(k^s)")
-    tol = COSINE_TOL if tol is None else tol
     vals = csum_table(k, s, _BINOMIAL_CAP).array.tolist()
     lhs = sum(binomial(K, j) * vals[j % K] for j in range(K + 1))
     rhs_exact = 0
     outer = []
+    angles, cosines, inner_sums = [], [], []
     for d, mu in moebius_divisors(factorize(k)):
         ds = d**s
         rhs_exact += mu * ds * sum(binomial(K, i * ds) for i in range(K // ds + 1))
         inner = []
         for l in range(1, ds + 1):
             sign = -1.0 if (l * (K // ds)) % 2 else 1.0
-            inner.append(sign * math.cos(math.pi * l / ds) ** K)
-        outer.append(mu * math.fsum(inner))
-    rhs_float = 2.0**K * math.fsum(outer)
-    rel = abs(rhs_float - float(lhs)) / max(1.0, abs(float(lhs)))
+            x = math.pi * l / ds
+            c = math.cos(x)
+            inner.append(sign * c**K)
+            angles.append(x)
+            cosines.append(c)
+        total = math.fsum(inner)
+        inner_sums.append(abs(total))
+        outer.append(mu * total)
+    total = math.fsum(outer)
+    rhs_float = 2.0**K * total
+    lhs_float = float(lhs)
+    diff = abs(rhs_float - lhs_float)
+    rel = diff / max(1.0, abs(lhs_float))
     residual = max(rel, float(abs(lhs - rhs_exact)))
-    passed = lhs == rhs_exact and rel <= tol
+    if tol is None:
+        import numpy as np
+
+        x, c = np.array(angles), np.abs(np.array(cosines))
+        h = _G3 * x
+        eps = h * (np.minimum(x, math.pi - x) + h) + 2 * _U * c
+        terms = float((2 * _U * c**K + K * eps * (c + eps) ** (K - 1)).sum())
+        bound = 2.0**K * (terms + _U * (math.fsum(inner_sums) + abs(total))) + _U * abs(lhs_float)
+        float_ok = diff <= 1.01 * bound
+    else:
+        float_ok = rel <= tol
+    passed = lhs == rhs_exact and float_ok
     return _result("binomial-weight", {"k": k, "s": s}, lhs, rhs_exact, residual, "exact", passed)
 
 
@@ -770,8 +817,14 @@ def _json_value(v) -> str:
 
 
 def _cells(r: CheckResult) -> list:
-    """The texts of one result's columns, in _COLUMNS order."""
-    params = json.dumps(r.params, sort_keys=True, separators=(",", ":"))
+    """The texts of one result's columns, in _COLUMNS order; params as
+    json.dumps(params, sort_keys=True, separators=(",", ":")) writes them."""
+    _, order, compact = _formats(r.params)
+    values = [
+        write(v) if (write := _PARAM_JSON.get(type(v))) else json.dumps(v, sort_keys=True, separators=(",", ":"))
+        for v in map(r.params.__getitem__, order)
+    ]
+    params = compact.format(*values)
     passed = "true" if r.passed else "false"
     return [r.identity, params, _text(r.lhs), _text(r.rhs), _text(r.residual), r.mode, passed, r.classification]
 
@@ -811,24 +864,26 @@ _JSON_ROW = """    {{
       "rhs": {}
     }}"""
 _PARAM_JSON = {int: int.__repr__, str: encode_basestring_ascii}
-# params keys in insertion order -> (the row format of that shape, the keys sorted)
+# params keys in insertion order -> (the JSON row format of that shape, the
+# keys sorted, the compact params format of the csv and human cells)
 _ROW_FORMATS: dict = {}
 
 
-def _row_format(keys: tuple) -> tuple:
-    order = tuple(sorted(keys))
-    names = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") for key in order]
-    params = "{{\n" + ",\n".join(f"        {name}: {{}}" for name in names) + "\n      }}" if order else "{{}}"
-    return _JSON_ROW % params, order
+def _formats(params: dict) -> tuple:
+    keys = tuple(params)
+    found = _ROW_FORMATS.get(keys)
+    if found is None:
+        order = tuple(sorted(keys))
+        names = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") for key in order]
+        rows = "{{\n" + ",\n".join(f"        {name}: {{}}" for name in names) + "\n      }}" if order else "{{}}"
+        compact = "{{" + ",".join(f"{name}:{{}}" for name in names) + "}}"
+        found = _ROW_FORMATS[keys] = (_JSON_ROW % rows, order, compact)
+    return found
 
 
 def _json_row(r: CheckResult) -> str:
     params = r.params
-    keys = tuple(params)
-    found = _ROW_FORMATS.get(keys)
-    if found is None:
-        found = _ROW_FORMATS[keys] = _row_format(keys)
-    fmt, order = found
+    fmt, order, _ = _formats(params)
     # ints and strings fill the format directly; only nested lists (ks, ks2) are laid out
     values = [
         write(v) if (write := _PARAM_JSON.get(type(v))) else _json_params(v, "        ")

@@ -125,6 +125,69 @@ class TestFactorize:
         assert factorize(1_000_000_000_039).factors == ((1_000_000_000_039, 1),)
 
 
+# below 2^20 factorize reads the least-prime-factor index; these straddle its
+# edges: 2^19, an odd prime power, the largest odd-prime square below 2^20,
+# a product with one factor past 1023, the largest prime below 2^20, and 2^20
+# with its neighbours, where trial division takes over
+INDEX_EDGES = (2**19, 3**12, 1021**2, 1013 * 1031, 1_048_573, 2**20 - 1, 2**20, 2**20 + 1)
+
+
+@pytest.fixture(scope="module")
+def brute_below_2_16():
+    return [None] + [brute_factorize(n) for n in range(1, 2**16 + 1)]
+
+
+class TestFactorIndex:
+    """The index answers for every sieve limit, since it is built from its own
+    primes below 1024."""
+
+    @pytest.fixture(scope="class", params=[2, 1000, DEFAULT_SIEVE_LIMIT, 10**6])
+    def sieve_limit(self, request):
+        configure_default_sieve(request.param)
+        # built up front, so every n below 2^20 is read from it, within the sieve too
+        arith._least_prime_factor_index()
+        yield request.param
+        configure_default_sieve(DEFAULT_SIEVE_LIMIT)
+
+    def test_every_n_to_2_16(self, sieve_limit, brute_below_2_16):
+        for n in range(1, 2**16 + 1):
+            assert factorize(n).factors == brute_below_2_16[n]
+
+    @given(st.integers(min_value=1, max_value=2**21))
+    def test_sample_to_2_21(self, sieve_limit, n):
+        assert factorize(n).factors == brute_factorize(n)
+
+    def test_edges(self, sieve_limit):
+        for n in INDEX_EDGES:
+            assert factorize(n).factors == brute_factorize(n)
+        assert factorize(1021**2).factors == ((1021, 2),)
+        assert factorize(1013 * 1031).factors == ((1013, 1), (1031, 1))
+        assert factorize(2**20 - 1).factors == ((3, 1), (5, 2), (11, 1), (31, 1), (41, 1))
+
+    def test_index_holds_least_prime_factors(self):
+        index = arith._least_prime_factor_index()
+        assert len(index) == 2**19
+        for n in range(1, 20001, 2):
+            least = brute_factorize(n)[0][0] if n > 1 else n
+            assert arith._INDEX_PRIMES[index[n >> 1]] == (0 if least == n else least)
+
+    def test_index_is_built_on_the_first_n_past_the_sieve_limit(self, monkeypatch):
+        # a run whose moduli stay within the sieve never pays for the index;
+        # once built, it answers every n below 2^20, within the sieve too
+        lookup, looked_up = arith._lookup, []
+        monkeypatch.setattr(arith, "_lookup", lambda n: looked_up.append(n) or lookup(n))
+        monkeypatch.setattr(arith, "_index", None)
+        sieve = PrimeSieve(1000)
+        assert sieve.factorize(997).factors == ((997, 1),)
+        assert sieve.factorize(1000).factors == ((2, 3), (5, 3))
+        assert arith._index is None and looked_up == []
+        assert sieve.factorize(1001).factors == ((7, 1), (11, 1), (13, 1))
+        assert arith._index is not None
+        assert sieve.factorize(999).factors == ((3, 3), (37, 1))
+        assert sieve.factorize(2**20).factors == ((2, 20),)
+        assert looked_up == [1001, 999]
+
+
 class TestFactorMemo:
     """factorize answers from one bounded memo of validated factorizations."""
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 
 from ramsum import identities
 from ramsum.cli import main
-from ramsum.errors import InternalConsistencyError
+from ramsum.errors import CEILING_DIGITS, InternalConsistencyError
 
 
 def run_main(capsys, *argv):
@@ -191,6 +192,29 @@ class TestDigitBudget:
         # its sides are over rad(4)^8000 = 2^8000, 2409 digits, though 4^8000 has 4817
         code, out, _ = run_main(capsys, "verify", "mu-log-lemma", "--k-min", "4", "--k-max", "4", "--s", "8000")
         assert code == 0 and out.endswith("summary pass=1 fail=0 findings=0\n")
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "mu-log-lemma", "--k-max", "2", "--s", str(10**30)),
+            ("eval", "csum", "--k", "6", "--j", "0", "--s", str(10**30), "--method", "hoelder"),
+        ],
+    )
+    def test_refused_with_the_limit_off(self, argv):
+        # PYTHONINTMAXSTRDIGITS=0 switches the int-to-str limit off; the fixed
+        # ceiling of 2^20 bits on a built power still refuses at once
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0")
+        started = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "ramsum", *argv], capture_output=True, text=True, env=env, timeout=10)
+        assert time.perf_counter() - started < 10
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("ramsum: error: ") and out.stderr.count("\n") == 1
+        assert f"{CEILING_DIGITS} decimal digits, the ceiling of 2^20 bits on a built value" in out.stderr
+
+    def test_ceiling_is_past_the_default_limit(self):
+        # so under the default limit every refusal keeps the limit's message
+        assert CEILING_DIGITS > sys.int_info.default_max_str_digits
 
 
 class TestBernoulliBudget:

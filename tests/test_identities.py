@@ -10,6 +10,7 @@ import io
 import json
 import math
 import random
+import types
 from fractions import Fraction
 from itertools import product
 
@@ -55,6 +56,7 @@ from ramsum.identities import (
     run_suite,
     weight_value,
     _exp_spectrum,
+    _cells,
     _json_params,
     _json_row,
     _run_point,
@@ -342,6 +344,23 @@ class TestBinomialWeight:
     def test_hard_bound(self):
         with pytest.raises(ResourceLimitError):
             check_binomial_weight(17, 2)
+
+    @pytest.mark.parametrize("k", [237, 243, 249])
+    def test_float_side_is_judged_by_its_derived_bound(self, k):
+        # the exact sides agree; the cosine-power side is off by 1.6e-9 to
+        # 4.7e-9 relative, inside its rounding bound but past a fixed 1e-9
+        out = check_binomial_weight(k, 1)
+        assert out.passed and out.lhs == out.rhs and out.residual > 1e-9
+        assert not check_binomial_weight(k, 1, tol=1e-9).passed
+
+    def test_derived_bound_catches_a_slightly_wrong_pi(self, monkeypatch):
+        # pi good to 12 digits moves the float side by far less than 1e-9,
+        # yet far more than rounding does
+        names = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+        monkeypatch.setattr(identities, "math", types.SimpleNamespace(**dict(names, pi=3.141592653589)))
+        for k in (6, 12, 30):
+            assert not check_binomial_weight(k, 1).passed, k
+            assert check_binomial_weight(k, 1, tol=1e-9).passed, k
 
 
 class TestMultisection:
@@ -749,6 +768,8 @@ class TestJsonTemplate:
         for r in results + results:
             layout = json.dumps(self.row(r), sort_keys=True, indent=2)
             assert _json_row(r) == "\n".join("    " + line for line in layout.splitlines())
+            # the csv and human params cell reads the same cached shape
+            assert _cells(r)[1] == json.dumps(r.params, sort_keys=True, separators=(",", ":"))
         assert set(identities._ROW_FORMATS) == shapes
 
     def test_empty_result_list(self):
