@@ -63,6 +63,6 @@ from .identities import (
     run_suite,
     weight_value,
 )
-from .logspace import TWO_PI, LogLinear, float_value, log_factorial, log_of_integer, mu_log_lemma_sides
+from .logspace import TWO_PI, LogLinear, float_value, mu_log_lemma_sides
 
 __version__ = "0.1.0"

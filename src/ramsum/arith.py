@@ -16,8 +16,11 @@ from math import gcd, isqrt
 
 from .errors import ResourceLimitError
 
-DEFAULT_SIEVE_LIMIT = 1 << 16  # 6542 primes
+# every odd composite below 2^20 has a prime factor below 1024, so the index
+# names each by its ordinal among the 171 odd primes there, one byte
 TRIAL_LIMIT = 1 << 20
+# maps an index byte to 1 where it is 0, "1 or a prime", else to 0
+_IS_PRIME = bytes([1]) + bytes(255)
 
 
 @dataclass(frozen=True)
@@ -58,94 +61,88 @@ def _sieve(limit: int) -> list[int]:
     return list(compress(range(limit + 1), flags))
 
 
-# every odd composite below TRIAL_LIMIT = 2^20 has a prime factor below 1024;
-# ordinal 0 stands for "1 or a prime" in the index, so it holds no prime
-_INDEX_PRIMES = [0] + _sieve(isqrt(TRIAL_LIMIT - 1))[1:]  # the 171 odd primes 3..1021
-_index: bytearray | None = None
+class PrimeSieve:
+    """The primes up to ``limit`` as one least-prime-factor index, and
+    factorization by it.
 
-
-def _least_prime_factor_index() -> bytearray:
-    """index[n >> 1], for odd n < TRIAL_LIMIT, is the ordinal in _INDEX_PRIMES
-    of the least prime factor of n, or 0 when n is 1 or a prime.
-
-    One byte per odd n, 512 KiB, built on first use (about 1.5 ms) from its
-    own primes below 1024, so it serves a sieve of any limit.
+    ``_index[n >> 1]``, for odd n <= limit, is the ordinal in ``_small`` of
+    the least prime factor of n, or 0 when n is 1 or a prime.  ``_small`` is
+    0 followed by the odd primes up to isqrt(limit), at most 171 of them.
+    The index takes one byte per odd n, 512 KiB at the default limit
+    TRIAL_LIMIT, and about 1.5 ms to build; the prime list is read from it
+    on demand.
     """
-    global _index
-    if _index is None:
-        half = TRIAL_LIMIT >> 1
+
+    def __init__(self, limit: int = TRIAL_LIMIT):
+        if not 2 <= limit <= TRIAL_LIMIT:
+            raise ValueError(f"sieve limit must be between 2 and {TRIAL_LIMIT}")
+        self.limit = int(limit)
+        self._small = small = [0] + _sieve(isqrt(self.limit))[1:]
+        half = (self.limit + 1) >> 1
         index = bytearray(half)
         # largest prime first, so each entry ends with the least prime factor;
         # the odd multiples n = p^2, p^2 + 2p, ... sit at p^2 >> 1 in steps of p
-        for i in range(len(_INDEX_PRIMES) - 1, 0, -1):
-            p = _INDEX_PRIMES[i]
+        for i in range(len(small) - 1, 0, -1):
+            p = small[i]
             start = p * p >> 1
             index[start::p] = bytes((i,)) * ((half - 1 - start) // p + 1)
-        _index = index
-    return _index
+        self._index = index
+        # (upto, the primes <= upto), replaced whole so a reader never sees half
+        self._kept = (2, [2])
 
+    def _listed(self, n: int) -> list[int]:
+        """The kept list of the primes, listed from the index on demand up
+        to at least min(n, limit); its own, not a copy."""
+        upto, primes = self._kept
+        if n > upto and upto < self.limit:
+            # to the next power of 2, so a rising n lists O(log n) times
+            upto = min(self.limit, 1 << n.bit_length())
+            # entry i, odd n = 2i + 1, is 0 for each odd prime n from i = 1 on
+            flags = self._index[1 : (upto + 1) >> 1].translate(_IS_PRIME)
+            primes = [2, *compress(range(3, upto + 1, 2), flags)]
+            self._kept = (upto, primes)
+        return primes
 
-def _lookup(n: int) -> Factorization:
-    """Factor 1 <= n < TRIAL_LIMIT: the 2s by a bit trick, then each odd prime
-    factor, least first, by one index lookup and one run of divisions."""
-    e = (n & -n).bit_length() - 1
-    factors = [(2, e)] if e else []
-    m = n >> e
-    index = _least_prime_factor_index()
-    while m > 1:
-        i = index[m >> 1]
-        if not i:
-            factors.append((m, 1))
-            break
-        p = _INDEX_PRIMES[i]
-        m //= p
-        e = 1
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors.append((p, e))
-    return Factorization(n, tuple(factors))
-
-
-class PrimeSieve:
-    """The primes up to ``limit``, and factorization by them."""
-
-    def __init__(self, limit: int):
-        if limit < 2:
-            raise ValueError("sieve limit must be at least 2")
-        self.limit = int(limit)
-        self.primes = _sieve(self.limit)
+    def primes_up_to(self, n: int) -> list[int]:
+        """The primes <= min(n, limit), ascending."""
+        primes = self._listed(n)
+        return primes[: bisect_right(primes, n)]
 
     def factorize(self, n: int) -> Factorization:
-        """Factor n >= 1.  Below TRIAL_LIMIT, n is read from the
-        least-prime-factor index once it is built, which the first n past
-        the sieve limit does; a run whose moduli stay within the sieve never
-        pays for it.  Any other n goes by trial division by the primes, then
-        by the odd numbers after them up to bound = max(TRIAL_LIMIT, limit);
-        a cofactor past bound^2 with no factor up to bound raises
-        ResourceLimitError, so every call is bounded.
+        """Factor n >= 1, least prime first: the 2s by a bit trick, then each
+        odd prime factor p by one run of divisions.  While what is left is at
+        most the limit, p is one index lookup.  Past it, p is the next trial
+        divisor of it: the primes up to the limit, then the odd numbers after
+        them below TRIAL_LIMIT.  A cofactor past TRIAL_LIMIT^2 with no factor
+        below TRIAL_LIMIT raises ResourceLimitError, so every call is bounded.
         """
-        if n < TRIAL_LIMIT and (_index is not None or n > self.limit):
-            return _lookup(n)
-        bound = max(TRIAL_LIMIT, self.limit)
-        # (last + 1) | 1, not (last | 1) + 2, which skips 3 when the primes are [2]
-        odd = range((self.primes[-1] + 1) | 1, bound + 1, 2)
-        m = n
-        factors = []
-        for p in chain(self.primes, odd):
-            if p * p > m:
-                break
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                factors.append((p, e))
-        # m has no prime factor up to bound, so m <= bound^2 is 1 or a prime
-        if m > bound * bound:
-            raise ResourceLimitError(f"cannot factor: a cofactor past {bound}^2 has no prime factor up to {bound}")
-        if m > 1:
-            factors.append((m, 1))
+        e = (n & -n).bit_length() - 1
+        factors = [(2, e)] if e else []
+        m = n >> e
+        limit, index, small = self.limit, self._index, self._small
+        trial = None
+        while m > 1:
+            if m <= limit:
+                p = small[index[m >> 1]] or m
+            else:
+                # the primes up to sqrt(m) are listed, or all up to the limit;
+                # (limit + 1) | 1 is the first odd number past the limit
+                trial = trial or chain(self._listed(isqrt(m)), range((limit + 1) | 1, TRIAL_LIMIT, 2))
+                p = next((q for q in trial if q * q > m or m % q == 0), m)
+                if p * p > m:
+                    # no prime factor up to sqrt(m), or below TRIAL_LIMIT: m is
+                    # a prime, unless it is past TRIAL_LIMIT^2
+                    if m > TRIAL_LIMIT * TRIAL_LIMIT:
+                        raise ResourceLimitError(
+                            f"cannot factor: a cofactor past {TRIAL_LIMIT}^2 has no prime factor up to {TRIAL_LIMIT}"
+                        )
+                    p = m
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
         return Factorization(n, tuple(factors))
 
 
@@ -164,14 +161,14 @@ def configure_default_sieve(limit: int) -> PrimeSieve:
 
 
 def _shared_sieve() -> PrimeSieve:
-    """The sieve factorize and primes_up_to read, built at DEFAULT_SIEVE_LIMIT
-    on first use unless configure_default_sieve already set one."""
+    """The sieve factorize and primes_up_to read, built at TRIAL_LIMIT on
+    first use unless configure_default_sieve already set one."""
     global _default_sieve
     sieve = _default_sieve
     if sieve is None:
         with _sieve_lock:
             if _default_sieve is None:
-                _default_sieve = PrimeSieve(DEFAULT_SIEVE_LIMIT)
+                _default_sieve = PrimeSieve()
             sieve = _default_sieve
     return sieve
 
@@ -195,13 +192,12 @@ def _factor(n: int) -> Factorization:
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """The primes <= limit, ascending, from the shared sieve up to its limit."""
-    if limit < 2:
-        return []
+    """The primes <= limit, ascending: from the shared sieve up to its
+    limit, by a sieve of their own past it."""
     sieve = _shared_sieve()
     if limit > sieve.limit:
         return _sieve(limit)
-    return sieve.primes[: bisect_right(sieve.primes, limit)]
+    return sieve.primes_up_to(limit)
 
 
 def divisors(fac: Factorization) -> list[int]:

@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", type=str, default=None, help="comma list: power:T|power:s|phi|jordan:T|tau|sigma")
     p.add_argument("--tuples", type=_int_at_least(0), default=20, help="random tuple count for g-multiplicative")
     p.add_argument("--seed", type=int, default=91)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes, at most one per CPU and point")
     p.add_argument("--format", choices=("json", "csv", "human"), default="human")
     p.add_argument("--tol", type=_tolerance, default=None, help="override floating tolerances")
     p.add_argument("--strict-findings", action="store_true", help="treat findings as failures")

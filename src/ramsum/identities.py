@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -211,6 +212,9 @@ def check_log_weight(k: int, s: int) -> CheckResult:
 def check_gcd_weight(k: int, s: int, f: WeightFunctionSpec, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
     """sum_{j<=k^s} f(gengcd^s) c_k^(s)(j) against J_s(k) [(f o N^s) * (mu o N^s)](k)."""
     _period(k, s, cap, "the gcd-weight sum")
+    if f.t is not None:
+        # the weight is read at gcd values x <= k^s, and J_t(x) <= x^t
+        _digit_budget(k**s, f.t, f"the weight {f.label} at k^s = {k}^{s}")
     vals = csum_table(k, s, cap).array
     fac = factorize(k)
     # S[d] sums the table along the stride d^s; the j of gen_gcd g sum to sum_{e | k/g} mu(e) S[g e],
@@ -751,12 +755,16 @@ def is_finding(result: CheckResult) -> bool:
 def run_suite(cfg: SuiteConfig) -> IdentityReport:
     """Run every grid point and aggregate a canonical, order-independent report."""
     points = build_grid(cfg)
-    if cfg.jobs > 1 and len(points) > 1:
+    # a worker past the CPUs this process may run on only waits for one, and
+    # the pool forks every worker at the first submit, so --jobs is a ceiling
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cfg.jobs, len(points), cpus)
+    if workers > 1:
         # imported here: concurrent.futures costs every other run about 25 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(points) // (cfg.jobs * 8))
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        chunk = max(1, len(points) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_point, points, chunksize=chunk))
     else:
         results = [_run_point(pt) for pt in points]

@@ -56,10 +56,6 @@ class LogLinear:
         """Copy of the symbol -> Fraction mapping (zero terms never stored)."""
         return dict(self._c)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
-
     def __add__(self, other):
         if not isinstance(other, LogLinear):
             return NotImplemented
@@ -119,12 +115,6 @@ def float_value(x: LogLinear) -> float:
     return math.fsum(terms)
 
 
-def log_of_integer(n: int) -> LogLinear:
-    """log n as an exact vector: the prime exponents of n."""
-    fac = factorize(n)
-    return LogLinear._raw({p: Fraction(e) for p, e in fac.factors})
-
-
 def legendre_exponents(n: int) -> dict[int, int]:
     """The exponent of each prime p <= n in n!, by Legendre's count sum_i n // p^i."""
     if n < 0:
@@ -138,11 +128,6 @@ def legendre_exponents(n: int) -> dict[int, int]:
             q *= p
         out[p] = e
     return out
-
-
-def log_factorial(n: int) -> LogLinear:
-    """log n! assembled from prime valuations of n! (Legendre's count)."""
-    return LogLinear._raw({p: Fraction(e) for p, e in legendre_exponents(n).items()})
 
 
 def mu_log_lemma_sides(k: int, s: int) -> tuple[LogLinear, LogLinear]:

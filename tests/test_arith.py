@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from ramsum import arith
 from ramsum.arith import (
-    DEFAULT_SIEVE_LIMIT,
+    TRIAL_LIMIT,
     Factorization,
     PrimeSieve,
     configure_default_sieve,
@@ -30,7 +30,7 @@ from ramsum.arith import (
     von_mangoldt,
 )
 from ramsum.errors import ResourceLimitError
-from ramsum.logspace import LogLinear, log_of_integer
+from ramsum.logspace import LogLinear
 
 
 def brute_factorize(n):
@@ -72,7 +72,7 @@ def brute_phi(n):
 class TestFactorize:
     @given(st.integers(min_value=1, max_value=2_000_000))
     def test_matches_trial_division(self, n):
-        # past the 2^16 primes too; the second call is answered from the memo
+        # past the table too; the second call is answered from the memo
         for fac in (factorize(n), factorize(n)):
             assert fac.value == n
             assert fac.factors == brute_factorize(n)
@@ -101,10 +101,10 @@ class TestFactorize:
             n = 1_000_003 * 7
             assert factorize(n).factors == ((7, 1), (1_000_003, 1))
         finally:
-            configure_default_sieve(DEFAULT_SIEVE_LIMIT)
+            configure_default_sieve(TRIAL_LIMIT)
 
     def test_smallest_sieve_skips_no_odd_number(self):
-        # the primes are [2], so the odd run must start at 3, not at 5
+        # the table holds no odd prime, so the odd run must start at 3, not at 5
         configure_default_sieve(2)
         try:
             assert factorize(9).factors == ((3, 2),)
@@ -112,7 +112,7 @@ class TestFactorize:
             assert factorize(1009 * 1013).factors == ((1009, 1), (1013, 1))
             assert factorize(7 * 1_000_003).factors == ((7, 1), (1_000_003, 1))
         finally:
-            configure_default_sieve(DEFAULT_SIEVE_LIMIT)
+            configure_default_sieve(TRIAL_LIMIT)
 
     def test_refuses_a_cofactor_past_the_trial_bound(self):
         # 1048583 and 1048589 are the first primes past 2^20; their product
@@ -125,10 +125,11 @@ class TestFactorize:
         assert factorize(1_000_000_000_039).factors == ((1_000_000_000_039, 1),)
 
 
-# below 2^20 factorize reads the least-prime-factor index; these straddle its
-# edges: 2^19, an odd prime power, the largest odd-prime square below 2^20,
-# a product with one factor past 1023, the largest prime below 2^20, and 2^20
-# with its neighbours, where trial division takes over
+# below its limit the table answers by index lookups; these straddle the
+# edges at the default limit 2^20: 2^19, an odd prime power, the largest
+# odd-prime square below 2^20, a product with one factor past 1023, the
+# largest prime below 2^20, and 2^20 with its neighbours, where trial division
+# takes over
 INDEX_EDGES = (2**19, 3**12, 1021**2, 1013 * 1031, 1_048_573, 2**20 - 1, 2**20, 2**20 + 1)
 
 
@@ -138,16 +139,14 @@ def brute_below_2_16():
 
 
 class TestFactorIndex:
-    """The index answers for every sieve limit, since it is built from its own
-    primes below 1024."""
+    """factorize answers for every table limit: by index lookups for an odd
+    part up to the limit, by trial division past it."""
 
-    @pytest.fixture(scope="class", params=[2, 1000, DEFAULT_SIEVE_LIMIT, 10**6])
+    @pytest.fixture(scope="class", params=[2, 1000, 1 << 16, 10**6, TRIAL_LIMIT])
     def sieve_limit(self, request):
         configure_default_sieve(request.param)
-        # built up front, so every n below 2^20 is read from it, within the sieve too
-        arith._least_prime_factor_index()
         yield request.param
-        configure_default_sieve(DEFAULT_SIEVE_LIMIT)
+        configure_default_sieve(TRIAL_LIMIT)
 
     def test_every_n_to_2_16(self, sieve_limit, brute_below_2_16):
         for n in range(1, 2**16 + 1):
@@ -165,27 +164,19 @@ class TestFactorIndex:
         assert factorize(2**20 - 1).factors == ((3, 1), (5, 2), (11, 1), (31, 1), (41, 1))
 
     def test_index_holds_least_prime_factors(self):
-        index = arith._least_prime_factor_index()
-        assert len(index) == 2**19
+        sieve = PrimeSieve()
+        assert len(sieve._index) == 2**19 and len(sieve._small) == 172
         for n in range(1, 20001, 2):
             least = brute_factorize(n)[0][0] if n > 1 else n
-            assert arith._INDEX_PRIMES[index[n >> 1]] == (0 if least == n else least)
+            assert sieve._small[sieve._index[n >> 1]] == (0 if least == n else least)
 
-    def test_index_is_built_on_the_first_n_past_the_sieve_limit(self, monkeypatch):
-        # a run whose moduli stay within the sieve never pays for the index;
-        # once built, it answers every n below 2^20, within the sieve too
-        lookup, looked_up = arith._lookup, []
-        monkeypatch.setattr(arith, "_lookup", lambda n: looked_up.append(n) or lookup(n))
-        monkeypatch.setattr(arith, "_index", None)
-        sieve = PrimeSieve(1000)
-        assert sieve.factorize(997).factors == ((997, 1),)
-        assert sieve.factorize(1000).factors == ((2, 3), (5, 3))
-        assert arith._index is None and looked_up == []
-        assert sieve.factorize(1001).factors == ((7, 1), (11, 1), (13, 1))
-        assert arith._index is not None
-        assert sieve.factorize(999).factors == ((3, 3), (37, 1))
-        assert sieve.factorize(2**20).factors == ((2, 20),)
-        assert looked_up == [1001, 999]
+    @pytest.mark.parametrize("limit", [-1, 0, 1, TRIAL_LIMIT + 1, 10**7])
+    def test_limit_outside_the_table_is_refused(self, limit):
+        with pytest.raises(ValueError):
+            PrimeSieve(limit)
+        with pytest.raises(ValueError):
+            configure_default_sieve(limit)
+        assert arith._shared_sieve().limit == TRIAL_LIMIT
 
 
 class TestFactorMemo:
@@ -232,7 +223,7 @@ class TestFactorMemo:
         try:
             assert factorize(n).factors == ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1))
         finally:
-            configure_default_sieve(DEFAULT_SIEVE_LIMIT)
+            configure_default_sieve(TRIAL_LIMIT)
         assert calls == [(1000, n)]
 
 
@@ -250,11 +241,22 @@ class TestSieve:
 
     @pytest.mark.parametrize("limit", [2, 3, 4, 1000, 1 << 16])
     def test_sieve_primes_match_oracle(self, limit):
-        assert PrimeSieve(limit).primes == [n for n in range(2, limit + 1) if is_prime(n)]
+        assert PrimeSieve(limit).primes_up_to(limit) == [n for n in range(2, limit + 1) if is_prime(n)]
+
+    def test_table_primes_match_eratosthenes(self):
+        assert PrimeSieve().primes_up_to(TRIAL_LIMIT) == arith._sieve(TRIAL_LIMIT)
+
+    def test_kept_list_answers_any_order_of_n(self):
+        sieve = PrimeSieve(5000)
+        for n in (1, 2, 3, 10, 100, 99, 4999, 6000, 5000, 7, -4):
+            assert sieve.primes_up_to(n) == [p for p in range(2, min(n, 5000) + 1) if is_prime(p)]
 
     def test_primes_past_the_shared_sieve(self):
-        limit = DEFAULT_SIEVE_LIMIT + 1000
-        assert primes_up_to(limit) == [n for n in range(2, limit + 1) if is_prime(n)]
+        configure_default_sieve(1000)
+        try:
+            assert primes_up_to(3000) == [n for n in range(2, 3001) if is_prime(n)]
+        finally:
+            configure_default_sieve(TRIAL_LIMIT)
 
 
 class TestDivisorFunctions:
@@ -402,9 +404,9 @@ class TestVonMangoldt:
         assert von_mangoldt(factorize(243)) == LogLinear({3: 1})
 
     def test_vanishes_off_prime_powers(self):
-        assert von_mangoldt(factorize(1)).is_zero
-        assert von_mangoldt(factorize(6)).is_zero
-        assert von_mangoldt(factorize(360)).is_zero
+        assert von_mangoldt(factorize(1)) == LogLinear()
+        assert von_mangoldt(factorize(6)) == LogLinear()
+        assert von_mangoldt(factorize(360)) == LogLinear()
 
     @given(st.integers(min_value=1, max_value=800))
     def test_chebyshev_identity(self, n):
@@ -412,7 +414,7 @@ class TestVonMangoldt:
         total = LogLinear()
         for d in brute_divisors(n):
             total = total + von_mangoldt(factorize(d))
-        assert total == log_of_integer(n)
+        assert total == LogLinear(dict(brute_factorize(n)))
 
 
 class TestDirichletConvolve:

@@ -212,6 +212,18 @@ class TestDigitBudget:
         assert out.stderr.startswith("ramsum: error: ") and out.stderr.count("\n") == 1
         assert f"{CEILING_DIGITS} decimal digits, the ceiling of 2^20 bits on a built value" in out.stderr
 
+    @pytest.mark.parametrize("limit", [str(sys.int_info.default_max_str_digits), "0"], ids=["limit", "limit-off"])
+    @pytest.mark.parametrize("weight", ["power:1000000000", "jordan:1000000000"])
+    def test_huge_weight_parameter_is_refused(self, weight, limit):
+        # x^t and J_t(x) are judged at the largest gcd value x = k^s before either is built
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit)
+        argv = ["verify", "gcd-weight", "--weights", weight, "--k-max", "3"]
+        started = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "ramsum", *argv], capture_output=True, text=True, env=env, timeout=10)
+        assert time.perf_counter() - started < 10
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("ramsum: error: ") and out.stderr.count("\n") == 1
+
     def test_ceiling_is_past_the_default_limit(self):
         # so under the default limit every refusal keeps the limit's message
         assert CEILING_DIGITS > sys.int_info.default_max_str_digits

@@ -9,8 +9,10 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import types
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -61,7 +63,7 @@ from ramsum.identities import (
     _json_row,
     _run_point,
 )
-from ramsum.logspace import LogLinear, float_value, log_factorial
+from ramsum.logspace import LogLinear, float_value, legendre_exponents
 
 
 class TestWeightSpecs:
@@ -151,7 +153,7 @@ class TestLogWeight:
         # collapses to 48 * Lambda(48) = 0: both sides vanish identically
         out = check_log_weight(48, 2)
         assert out.passed
-        assert out.lhs.is_zero and out.rhs.is_zero
+        assert out.lhs == out.rhs == LogLinear()
 
     def test_findings_are_not_failures(self):
         report = run_suite(SuiteConfig(identities=("log-weight",), k_min=4, k_max=4, s=2))
@@ -171,9 +173,9 @@ class TestLogWeight:
         rhs = s * von_mangoldt(fac)
         for d, mu in moebius_divisors(fac):
             if k // d**s >= 2:
-                rhs = rhs + Fraction(d**s, k) * mu * log_factorial(k // d**s)
+                rhs = rhs + Fraction(d**s, k) * mu * LogLinear(legendre_exponents(k // d**s))
         diff = lhs - rhs
-        return lhs, rhs, abs(float_value(diff)), diff.is_zero
+        return lhs, rhs, abs(float_value(diff)), diff == LogLinear()
 
     def test_integer_sides_equal_the_log_vector_sums(self):
         for k in range(1, 301):
@@ -627,6 +629,43 @@ class TestSuiteRunner:
         cfg2 = SuiteConfig(identities=("multisection", "gauss-product"), n_max=30, jobs=2)
         c = render_report(run_suite(cfg2), "json")
         assert a == b == c
+
+    def test_jobs_is_a_ceiling_on_workers(self, monkeypatch):
+        # the pool forks every worker at its first submit, so a huge jobs
+        # must get no more workers than there are CPUs and grid points
+        import concurrent.futures
+
+        calls = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                calls.append(("workers", max_workers))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                calls.append(("chunksize", chunksize))
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        cfg = SuiteConfig(identities=("multisection", "gauss-product"), n_max=30)
+        points = len(build_grid(cfg))
+        want = render_report(run_suite(cfg), "json")
+        assert calls == []
+        assert render_report(run_suite(replace(cfg, jobs=10**6)), "json") == want
+        assert calls == [("workers", 3), ("chunksize", points // 24)]
+        calls.clear()
+        run_suite(SuiteConfig(identities=("gauss-product",), n_max=2, jobs=10**6))
+        assert calls == [("workers", 2), ("chunksize", 1)]
+        calls.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert render_report(run_suite(replace(cfg, jobs=10**6)), "json") == want
+        assert calls == []
 
     def test_json_schema(self):
         report = run_suite(SuiteConfig(identities=("power-sum",), n_max=5, r_max=2))
