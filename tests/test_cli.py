@@ -1,6 +1,8 @@
 """CLI behavior: output bytes, exit codes, determinism across --jobs."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -608,6 +610,22 @@ def test_exact_rows_of_default_report_are_pinned(capsys):
     text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1fa6f777f65a04bcd1230a022e8b9392b0d81a451372599a6a853afb1b7b6958"
+    )
+
+
+def test_exact_csv_rows_of_default_report_are_pinned(capsys):
+    # the csv twin of the pin above: the same rows as csv writes them, with
+    # the residual column dropped
+    code, out, _ = run_main(capsys, "verify", "all", "--format", "csv")
+    assert code == 0
+    header, *lines = csv.reader(io.StringIO(out))
+    drop, mode = header.index("residual"), header.index("mode")
+    rows = [line[:drop] + line[drop + 1 :] for line in lines if line[mode] == "exact"]
+    assert len(rows) == 3339
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "8167f2de2530e36f6801a1a973c777646e49b4e518f2c754a415198feee68d8e"
     )
 
 

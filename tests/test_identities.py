@@ -573,8 +573,9 @@ class TestSuiteRunner:
     def test_grid_counts(self):
         cfg = SuiteConfig(identities=("alkan",), k_max=10, s_max=2, r_max=3)
         assert len(build_grid(cfg)) == 60
-        cfg = SuiteConfig(identities=("log-weight",), k_max=0)
-        assert build_grid(cfg) == []
+        # a selected identity with no point is refused before any point runs
+        with pytest.raises(ValueError, match="no points to check in the log-weight grid"):
+            build_grid(SuiteConfig(identities=("log-weight",), k_max=0))
 
     def test_multivariate_default_tuples_bounded_by_k(self):
         lcms = [reduce_lcm(ks) for ks in DEFAULT_TUPLES]
@@ -616,11 +617,6 @@ class TestSuiteRunner:
         assert report.failed == 0
         # s=2 findings start at k=2: none of 2..10 clears rad(k)^2 < k
         assert report.findings == 9
-
-    def test_empty_report_renders(self):
-        report = run_suite(SuiteConfig(identities=("log-weight",), k_max=0))
-        text = render_report(report, "human")
-        assert "summary pass=0 fail=0 findings=0" in text
 
     def test_deterministic_bytes_and_jobs(self):
         cfg = SuiteConfig(identities=("multisection", "gauss-product"), n_max=30)
@@ -794,13 +790,15 @@ class TestJsonTemplate:
 
     def test_row_of_every_params_shape(self, monkeypatch):
         # one point of each registry identity, then params the registry never
-        # builds: empty, an empty list, and keys that need escaping in a format
+        # builds: empty, an empty list, keys that need escaping in a format, and
+        # a nested object
         monkeypatch.setattr(identities, "_ROW_FORMATS", {})
         results = [_run_point(build_grid(SuiteConfig(identities=(identity,)))[0]) for identity in ALL_IDENTITIES]
         results += [
             CheckResult("gauss-product", {}, 1.5, 1.5, 0.0, "float", True, "numerical-pass"),
             CheckResult("g-multiplicative", {"ks": [7, 1], "ks2": [], "m": 0, "s": 3}, 1, 1, 0.0, "exact", True, "v"),
             CheckResult("x", {"{k}": 1, "caf\u00e9 {}": "\u2603", "a\"b": [[2], []]}, 0, 0, 0.0, "exact", True, "v"),
+            CheckResult("x", {"d": {"z": [1, {}], "a": {"y": "\u2603", "x": [[]]}}, "k": 2}, 0, 0, 0.0, "exact", True, "v"),
         ]
         shapes = {tuple(r.params) for r in results}
         assert {"ks", "ks2"} <= set().union(*shapes) and () in shapes
