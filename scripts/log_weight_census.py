@@ -16,6 +16,9 @@ at least two prime factors ("telescoping" below).  A few points are exact
 without that support through accidental cancellation (k = 104 at s = 2 is
 the smallest).  Membership in the s-full set {k : rad(k)^s | k} turns out
 to predict neither direction, and the script prints the disagreement.
+
+A mismatch equal to that defect is a finding; any other is classified
+`mismatch`, counted apart, and makes the script exit 1.
 """
 
 import argparse
@@ -45,22 +48,26 @@ def is_s_full(k, s):
 def census(k_max, s_max):
     doc = {}
     for s in range(2, s_max + 1):
-        verified, telescoped, cancelled, sfull_mismatch = [], [], [], []
+        verified, telescoped, cancelled, sfull_mismatch, mismatches = [], [], [], [], []
         findings = 0
         for k in range(2, k_max + 1):
             out = check_log_weight(k, s)
             if out.passed:
                 verified.append(k)
                 (telescoped if telescopes(k, s) else cancelled).append(k)
-            else:
+                continue
+            if out.classification == "finding-mismatch":
                 findings += 1
-                if is_s_full(k, s):
-                    sfull_mismatch.append(k)
+            else:
+                mismatches.append(k)
+            if is_s_full(k, s):
+                sfull_mismatch.append(k)
         doc[str(s)] = {
             "verified": verified,
             "telescoping": telescoped,
             "cancellation": cancelled,
             "findings": findings,
+            "mismatches": mismatches,
             "s_full_yet_mismatch": sfull_mismatch,
         }
     return doc
@@ -75,8 +82,10 @@ def main(argv=None) -> int:
 
     doc = census(args.k_max, args.s_max)
     for s, row in doc.items():
-        print(f"s={s}: {len(row['verified'])} exact, {row['findings']} findings "
-              f"(k <= {args.k_max})")
+        print(f"s={s}: {len(row['verified'])} exact, {row['findings']} findings, "
+              f"{len(row['mismatches'])} mismatches (k <= {args.k_max})")
+        if row["mismatches"]:
+            print(f"  mismatching the predicted defect: {row['mismatches']}")
         print(f"  exact via telescoping: {row['telescoping']}")
         print(f"  exact via cancellation: {row['cancellation']}")
         print(f"  s-full yet mismatching: {row['s_full_yet_mismatch']}")
@@ -88,7 +97,7 @@ def main(argv=None) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {out_path}")
-    return 0
+    return 1 if any(row["mismatches"] for row in doc.values()) else 0
 
 
 if __name__ == "__main__":

@@ -45,9 +45,7 @@ DEFAULT_SWEEP_CAP = 100_000
 # the most points one verify run builds, about 30 MB of them: verify all
 # takes 25377 at --k-max 240 and 68941 at --k-max 1000
 _GRID_POINT_LIMIT = 100_000
-# hard ceilings of three checks, read by their grids too: binomial-weight k^s,
-# multisection n and gauss-product N
-_BINOMIAL_CAP = 256
+# hard ceilings, read by the grids too: the multisection kernel's n and gauss-product's N
 _MULTISECTION_N_MAX = 256
 _GAUSS_N_MAX = 500
 DEFAULT_FLOAT_TOL = 1e-8
@@ -118,11 +116,6 @@ class CheckResult:
     classification: str
 
 
-def _predicted_defect(identity: str, params: dict) -> bool:
-    """Whether a mismatch here is a finding: the log-weight closed form at s >= 2."""
-    return identity == "log-weight" and params.get("s", 1) >= 2
-
-
 def _exact(identity: str, params: dict, lhs, rhs) -> CheckResult:
     """The result of an exact check whose sides are ints or Fractions; the
     residual is only computed when they differ."""
@@ -130,11 +123,13 @@ def _exact(identity: str, params: dict, lhs, rhs) -> CheckResult:
     return _result(identity, params, lhs, rhs, 0.0 if passed else abs(float(lhs - rhs)), "exact", passed)
 
 
-def _result(identity: str, params: dict, lhs, rhs, residual: float, mode: str, passed: bool) -> CheckResult:
+def _result(
+    identity: str, params: dict, lhs, rhs, residual: float, mode: str, passed: bool, finding: bool = False
+) -> CheckResult:
     if passed:
         classification = "verified" if mode == "exact" else "numerical-pass"
     else:
-        classification = "finding-mismatch" if _predicted_defect(identity, params) else "mismatch"
+        classification = "finding-mismatch" if finding else "mismatch"
     return CheckResult(identity, params, lhs, rhs, float(residual), mode, bool(passed), classification)
 
 
@@ -179,8 +174,10 @@ def check_log_weight(k: int, s: int) -> CheckResult:
 
     At s = 1 the two sides agree identically.  For s >= 2 the closed form's
     counting step assumes d^s | k for every divisor d, which fails at least
-    at d = k, so a nonzero residual is recorded as a finding rather than a
-    hard failure.
+    at d = k.  A mismatch is a finding when it equals the defect that this
+    predicts, lhs - rhs = -(s/k) sum_{d|k} mu(k/d) (k mod d^s) log d, a third
+    derivation, read from the residues k mod d^s rather than from either
+    side's sums; any other mismatch hard-fails.
     """
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
@@ -206,7 +203,17 @@ def check_log_weight(k: int, s: int) -> CheckResult:
     diff = {p: v for p in lhs_num.keys() | rhs_num.keys() if (v := lhs_num.get(p, 0) - rhs_num.get(p, 0))}
     # float_value(lhs - rhs) bit for bit: v / k rounds the rational each coefficient is
     residual = abs(math.fsum(v / k * math.log(p) for p, v in diff.items()))
-    return _result("log-weight", {"k": k, "s": s}, lhs, rhs, residual, "exact", not diff)
+    finding = False
+    if diff:
+        # the defect's numerators over k; k mod d^s is k once d^s > k, which
+        # the bit lengths show before any d^s is built
+        defect: dict[int, int] = {}
+        for d, mu in moebius_divisors(fac):
+            rem = k if (d.bit_length() - 1) * s >= k.bit_length() else k % d**s
+            for p, e in factorize(d).factors:
+                defect[p] = defect.get(p, 0) - s * mu * rem * e
+        finding = diff == {p: v for p, v in defect.items() if v}
+    return _result("log-weight", {"k": k, "s": s}, lhs, rhs, residual, "exact", not diff, finding=finding)
 
 
 def check_gcd_weight(k: int, s: int, f: WeightFunctionSpec, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
@@ -287,90 +294,135 @@ def check_bernoulli_weight(k: int, s: int, m: int, cap: int = DEFAULT_SWEEP_CAP)
     return _exact("bernoulli-weight", {"k": k, "m": m, "s": s}, lhs, rhs)
 
 
-def check_binomial_weight(k: int, s: int, tol: float | None = None) -> CheckResult:
-    """sum_{j=0..k^s} C(k^s, j) c_k^(s)(j), exactly via series multisection and
-    in floating point via the signed cosine-power form
-    R = 2^K sum_{d|k} mu(k/d) sum_{l=1..d^s} (-1)^(lK/d^s) cos(pi l/d^s)^K.
+def _multisection(n: int, r: int) -> tuple:
+    """Series multisection, sum_m C(n, mr) = (2^n/r) sum_{l=1..r} t_l with
+    t_l = cos^n(pi l/r) cos(pi a_l/r), a_l = n l mod 2r reduced before pi is
+    touched.  Returns the exact sum, the float t_l, the computed angles pi l/r
+    and cosines of their first factors, and (l - 1, angle, cosine) of each
+    second factor not 1 or -1, which _cosine_error reads to bound
+    sum_l |t_l - T_l|, T_l the true terms.
 
-    The float side passes when its error |R - lhs| is within a bound derived
-    per point (with --tol, when its relative error is within tol).  Proof,
-    with u = 2^-53, assuming math.cos and float ** int are within 1 ulp (2u
-    relative) and math.fsum is correctly rounded.  In one term, q = d^s,
-    y = pi l/q is the true angle, x = (math.pi * l) / q the computed one,
-    C = cos(y) and c = |computed cos(x)|:
+    Proof, with u = 2^-53, assuming math.cos and float ** int are within
+    1 ulp (2u relative).  In one factor, y = pi a/r is the true angle (a = l
+    in the first), x = (math.pi * a) / r the computed one, C = cos(y) and
+    c = |computed cos(x)|:
     - x carries three roundings, so |x - y| <= g3 y with g3 = 3u/(1 - 3u),
       and g3 y <= h = g3 x (1 + g3).
     - By the mean value theorem |cos x - cos y| <= h (|sin y| + h), and
-      |sin y| <= min(y, pi - y), which x and pi - x give to within O(u).
-      Rounding cos adds 2u |cos x|.  So |C - computed cos(x)| <= eps, the
-      sum of both.
-    - The K-th powers then differ by at most K eps (c + eps)^(K-1) (if the
-      signs differ, |C| + c <= eps), and the power adds 2u c^K.
-    - Each fsum adds u times its sum, the signs and mu(k/d) are exact, the
-      scaling by 2^K is exact and float(lhs) adds u |lhs|.
-    So |R - lhs| <= 2^K (sum over terms + u sum_d |I_d| + u |O|) + u |lhs|,
-    with I_d the inner sums and O the outer one.  What this drops (the
-    factors 1 + g3 and 1 + u, the O(u) in min(x, pi - x) times h, the
-    rounding of the difference and of the bound's own sums) is below a
-    relative 1e-12 of the bound for K <= 256, and the factor 1.01 covers it.
+      |sin y| <= min(z, pi - z), z = min(y, 2pi - y), which x gives to
+      within O(u).  Rounding cos adds 2u |cos x|.  So |C - computed cos(x)|
+      <= eps, the sum of both.
+    - The first factor's n-th powers then differ by at most
+      E = n eps (c + eps)^(n-1) + 2u c^n, the rounding of the power included
+      (if the signs differ, |C| + c <= eps).
+    - Where r | n l, a is 0 or r and the second factor is 1 or -1, written
+      so exactly (math.cos gives the same at a float within ulps of pi) and
+      adding nothing.  Any other, with c2 and eps2 its c and eps, moves the
+      term by at most E (c2 + eps2) + c^n eps2; the product adds u c^n c2.
+    What this drops (the factors 1 + g3 and 1 + 2u, the O(u) in the min
+    times h and the rounding of the bound's own sum) is below a relative
+    1e-12 of the bound for n <= 256; the callers' factor 1.01 covers it.
     """
-    K = _period(k, s, _BINOMIAL_CAP, "the binomial-weight sum, whose binomials grow as 2^(k^s)")
-    vals = csum_table(k, s, _BINOMIAL_CAP).array.tolist()
-    lhs = sum(binomial(K, j) * vals[j % K] for j in range(K + 1))
-    rhs_exact = 0
-    outer = []
-    angles, cosines, inner_sums = [], [], []
-    for d, mu in moebius_divisors(factorize(k)):
-        ds = d**s
-        rhs_exact += mu * ds * sum(binomial(K, i * ds) for i in range(K // ds + 1))
-        inner = []
-        for l in range(1, ds + 1):
-            sign = -1.0 if (l * (K // ds)) % 2 else 1.0
-            x = math.pi * l / ds
-            c = math.cos(x)
-            inner.append(sign * c**K)
-            angles.append(x)
-            cosines.append(c)
-        total = math.fsum(inner)
-        inner_sums.append(abs(total))
-        outer.append(mu * total)
-    total = math.fsum(outer)
-    rhs_float = 2.0**K * total
-    lhs_float = float(lhs)
-    diff = abs(rhs_float - lhs_float)
-    rel = diff / max(1.0, abs(lhs_float))
-    residual = max(rel, float(abs(lhs - rhs_exact)))
-    if tol is None:
-        import numpy as np
+    exact = sum(binomial(n, m * r) for m in range(n // r + 1))
+    angles = [math.pi * l / r for l in range(1, r + 1)]
+    cosines = list(map(math.cos, angles))
+    terms, second = [], []
+    for l, c in enumerate(cosines, 1):
+        a = (n * l) % (2 * r)
+        c2 = -1.0 if a else 1.0
+        if a % r:
+            y = math.pi * a / r
+            c2 = math.cos(y)
+            second.append((l - 1, y, c2))
+        terms.append(c**n * c2)
+    return exact, terms, angles, cosines, second
 
-        x, c = np.array(angles), np.abs(np.array(cosines))
+
+def _cosine_error(n: int, angles: list, cosines: list, second=()) -> float:
+    """_multisection's bound on the error of its terms, read from their factors."""
+    import numpy as np
+
+    def eps(x, c):
         h = _G3 * x
-        eps = h * (np.minimum(x, math.pi - x) + h) + 2 * _U * c
-        terms = float((2 * _U * c**K + K * eps * (c + eps) ** (K - 1)).sum())
-        bound = 2.0**K * (terms + _U * (math.fsum(inner_sums) + abs(total))) + _U * abs(lhs_float)
-        float_ok = diff <= 1.01 * bound
+        z = np.minimum(x, math.tau - x)
+        return h * (np.minimum(z, math.pi - z) + h) + 2 * _U * c
+
+    x, c = np.array(angles), np.abs(np.array(cosines))
+    e = eps(x, c)
+    power = c**n
+    err = 2 * _U * power + n * e * (c + e) ** (n - 1)
+    if second:
+        i, y, c2 = np.array(second).T
+        i, c2 = i.astype(np.intp), np.abs(c2)
+        e2 = eps(y, c2)
+        err[i] = err[i] * (c2 + e2) + power[i] * (e2 + _U * c2)
+    return float(err.sum())
+
+
+def check_binomial_weight(k: int, s: int, tol: float | None = None) -> CheckResult:
+    """sum_{j=0..K} C(K, j) c_k^(s)(j), K = k^s, against its series multisection
+    sum_{d|k} mu(k/d) d^s sum_i C(K, i d^s), one _multisection(K, d^s) per d.
+
+    The float side R = 2^K O, O the fsum of the mu(k/d) I_d and I_d that of
+    the terms of d (their second factors all 1 or -1), passes when |R - lhs|
+    <= 2^K (E + u sum_d |I_d| + u |O|) + u |lhs| (with --tol, when its
+    relative error is within tol), E being the terms' _cosine_error and
+    u = 2^-53: each correctly rounded fsum adds u times its sum, mu(k/d) and
+    2^K are exact and float(lhs) adds u |lhs|.
+    """
+    K = _period(k, s, _MULTISECTION_N_MAX, "the binomial-weight sum, whose binomials grow as 2^(k^s)")
+    vals = csum_table(k, s, _MULTISECTION_N_MAX).array.tolist()
+    lhs = sum(binomial(K, j) * vals[j % K] for j in range(K + 1))
+    rhs, outer, angles, cosines = 0, [], [], []
+    for d, mu in moebius_divisors(factorize(k)):
+        exact, terms, x, c, _ = _multisection(K, d**s)
+        rhs += mu * d**s * exact
+        outer.append(mu * math.fsum(terms))
+        angles += x
+        cosines += c
+    total = math.fsum(outer)
+    lhs_float = float(lhs)
+    diff = abs(2.0**K * total - lhs_float)
+    rel = diff / max(1.0, abs(lhs_float))
+    residual = max(rel, float(abs(lhs - rhs)))
+    if tol is None:
+        # |mu(k/d)| = 1, so the outer terms' sizes are the inner sums' |I_d|
+        bound = 2.0**K * (_cosine_error(K, angles, cosines) + _U * (math.fsum(map(abs, outer)) + abs(total)))
+        float_ok = diff <= 1.01 * (bound + _U * abs(lhs_float))
     else:
         float_ok = rel <= tol
-    passed = lhs == rhs_exact and float_ok
-    return _result("binomial-weight", {"k": k, "s": s}, lhs, rhs_exact, residual, "exact", passed)
+    return _result("binomial-weight", {"k": k, "s": s}, lhs, rhs, residual, "exact", lhs == rhs and float_ok)
 
 
 def check_multisection(n: int, r: int, tol: float | None = None) -> CheckResult:
-    """sum_m C(n, mr) against (2^n/r) sum_l cos^n(l pi/r) cos(n l pi/r)."""
+    """sum_m C(n, mr) against (2^n/r) sum_l cos^n(l pi/r) cos(n l pi/r), both
+    from one _multisection(n, r).
+
+    The float side passes when |rhs - lhs| <= 2^n/r (E + u |S|) + u (2 |rhs|
+    + |lhs|) (with --tol, when its relative error is within tol), E being the
+    terms' _cosine_error, S their correctly rounded fsum and u = 2^-53: the
+    fsum adds u |S|, 2^n/r and its product with S round once each, and
+    float(lhs) adds u |lhs|.  The scaled terms reach 2^n/r and cancel down to
+    lhs, so where that bound is not below lhs/2 the float side cannot decide
+    the point, and it is refused with ResourceLimitError.
+    """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     if n > _MULTISECTION_N_MAX:
         raise ResourceLimitError(f"n = {n} exceeds {_MULTISECTION_N_MAX} for the multisection check")
-    tol = COSINE_TOL if tol is None else tol
-    lhs = sum(binomial(n, m * r) for m in range(n // r + 1))
-    terms = []
-    for l in range(1, r + 1):
-        # reduce n*l mod 2r before touching pi so large arguments stay exact
-        a = (n * l) % (2 * r)
-        terms.append(math.cos(math.pi * l / r) ** n * math.cos(math.pi * a / r))
-    rhs = 2.0**n / r * math.fsum(terms)
-    residual = abs(rhs - float(lhs)) / max(1.0, float(lhs))
-    return _result("multisection", {"n": n, "r": r}, lhs, rhs, residual, "float", residual <= tol)
+    lhs, terms, angles, cosines, second = _multisection(n, r)
+    S = math.fsum(terms)
+    rhs = 2.0**n / r * S
+    diff = abs(rhs - float(lhs))
+    residual = diff / max(1.0, float(lhs))
+    if tol is None:
+        bound = 2.0**n / r * (_cosine_error(n, angles, cosines, second) + _U * abs(S)) + _U * (2 * abs(rhs) + lhs)
+        if 2 * bound >= lhs:
+            raise ResourceLimitError(f"the float side of multisection cannot decide (n, r) = ({n}, {r})")
+        float_ok = diff <= 1.01 * bound
+    else:
+        float_ok = residual <= tol
+    return _result("multisection", {"n": n, "r": r}, lhs, rhs, residual, "float", float_ok)
 
 
 @lru_cache(maxsize=2)
@@ -627,7 +679,7 @@ def _grid_bernoulli_weight(cfg):
 
 
 def _grid_binomial_weight(cfg):
-    cap = min(_BINOMIAL_CAP, cfg.cap)
+    cap = min(_MULTISECTION_N_MAX, cfg.cap)
     return ({"k": k, "s": s} for k, s, _ in _capped_ks(cfg, "binomial-weight", s_default=6, cap=cap))
 
 
@@ -753,8 +805,8 @@ def _run_point(point) -> CheckResult:
 
 
 def is_finding(result: CheckResult) -> bool:
-    """Non-fatal expected mismatch: the log-weight family at s >= 2."""
-    return not result.passed and _predicted_defect(result.identity, result.params)
+    """Non-fatal expected mismatch, as its check classified it."""
+    return result.classification == "finding-mismatch"
 
 
 def run_suite(cfg: SuiteConfig) -> IdentityReport:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
-from .arith import factorize, jordan_totient, primes_up_to
+from .arith import factorize, jordan_totient, moebius_divisors, primes_up_to
 from .csum import _digit_budget
 from .exactnum import rat_str
 
@@ -133,13 +132,12 @@ def legendre_exponents(n: int) -> dict[int, int]:
 def mu_log_lemma_sides(k: int, s: int) -> tuple[LogLinear, LogLinear]:
     """Both sides of sum_{d|k} mu(d) log(d)/d^s = -(J_s(k)/k^s) sum_{p|k} log(p)/(p^s - 1).
 
-    The left side keeps only squarefree divisors (mu kills the rest), built
-    directly from subsets of the prime support; the right side is the closed
-    form.  Both are exact LogLinear vectors over the primes dividing k, each
-    summed in integers over R = rad(k)^s: the product d of t primes adds
-    (-1)^t (rad(k)/d)^s to each of them, and since
-    J_s(k) R / k^s = prod_p (p^s - 1), the right side at p is minus that
-    product over p^s - 1.
+    The left side keeps only squarefree divisors (mu kills the rest), the
+    k/d of moebius_divisors(k); the right side is the closed form.  Both are
+    exact LogLinear vectors over the primes dividing k, each summed in
+    integers over R = rad(k)^s: a squarefree e | k adds mu(e) (rad(k)/e)^s
+    to each of its primes, and since J_s(k) R / k^s = prod_p (p^s - 1), the
+    right side at p is minus that product over p^s - 1.
     """
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
@@ -148,10 +146,11 @@ def mu_log_lemma_sides(k: int, s: int) -> tuple[LogLinear, LogLinear]:
     rad = math.prod(primes)
     _digit_budget(rad, s, f"rad(k)^s in the mu-log lemma at k={k}, s={s}")
     lhs_num = dict.fromkeys(primes, 0)
-    for t in range(1, len(primes) + 1):
-        for subset in combinations(primes, t):
-            w = (-1) ** t * (rad // math.prod(subset)) ** s
-            for p in subset:
+    for d, mu in moebius_divisors(fac):
+        e = k // d
+        w = mu * (rad // e) ** s
+        for p in primes:
+            if e % p == 0:
                 lhs_num[p] += w
     R = rad**s
     P = jordan_totient(s, fac) * R // k**s

@@ -34,3 +34,13 @@ def cleared(monkeypatch):
     clear()
     yield clear
     clear()
+
+
+@pytest.fixture
+def broken_moebius_route(monkeypatch):
+    """The Moebius route one more than the truth in its g = 1 class at s >= 2:
+    a broken evaluator that log-weight must report as a mismatch."""
+    from ramsum import csum
+
+    real = csum._moebius_value
+    monkeypatch.setattr(csum, "_moebius_value", lambda k, s, g: real(k, s, g) + (s >= 2 and g == 1))

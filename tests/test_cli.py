@@ -544,6 +544,31 @@ class TestVerify:
         assert code == 2
         assert "fail=0" not in out.splitlines()[-1]
 
+    def test_broken_moebius_route_exits_two(self, capsys, broken_moebius_route):
+        # the log-weight mismatches no longer equal the predicted defect
+        code, out, _ = run_main(capsys, "verify", "log-weight", "--s-max", "3")
+        assert code == 2
+        assert out.splitlines()[-1].endswith("findings=0")
+
+    def test_multisection_past_the_default_r(self, capsys):
+        code, out, _ = run_main(capsys, "verify", "multisection", "--n-max", "40", "--r-max", "40")
+        assert code == 0
+        assert out.splitlines()[-1] == "summary pass=820 fail=0 findings=0"
+        # a fixed 1e-9 is too tight where the cosine terms cancel to a small lhs
+        code, out, _ = run_main(capsys, "verify", "multisection", "--n-max", "40", "--r-max", "40", "--tol", "1e-9")
+        assert code == 2
+        assert sum(line.endswith(" mismatch") for line in out.splitlines()) == 34
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_undecidable_multisection_point_is_exit_1(self, capsys, jobs):
+        code, out, err = run_main(
+            capsys, "verify", "multisection", "--n-max", "64", "--r-max", "64", "--jobs", jobs
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == "ramsum: error: the float side of multisection cannot decide (n, r) = (50, 50)\n"
+
     def test_ks_groups(self, capsys):
         code, out, _ = run_main(
             capsys,
@@ -795,6 +820,23 @@ def test_census_script_rejects_s_max_1(tmp_path):
     assert out.returncode == 2
     assert "argument --s-max:" in out.stderr
     assert not (tmp_path / "census.json").exists()
+
+
+def test_census_script_counts_mismatches_apart(tmp_path, capsys, request):
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "log_weight_census.py"
+    spec = importlib.util.spec_from_file_location("log_weight_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    argv = ["--k-max", "12", "--s-max", "2", "--out", str(tmp_path / "census.json")]
+    assert census.main(argv) == 0
+    assert json.loads((tmp_path / "census.json").read_text())["2"]["mismatches"] == []
+    request.getfixturevalue("broken_moebius_route")
+    assert census.main(argv) == 1
+    row = json.loads((tmp_path / "census.json").read_text())["2"]
+    assert row["findings"] == 0 and row["mismatches"] == list(range(2, 13))
+    assert "11 mismatches" in capsys.readouterr().out
 
 
 class TestSubprocessInvocation:

@@ -159,6 +159,25 @@ class TestLogWeight:
         report = run_suite(SuiteConfig(identities=("log-weight",), k_min=4, k_max=4, s=2))
         assert (report.passed, report.failed, report.findings) == (0, 0, 1)
 
+    def test_every_mismatch_is_the_predicted_defect(self):
+        # lhs - rhs = -(s/k) sum_{d|k} mu(k/d) (k mod d^s) log d at each point
+        # that does not verify, so none of them hard-fails
+        counts = {"verified": 0, "finding-mismatch": 0}
+        for k in range(1, 301):
+            for s in range(2, 7):
+                out = check_log_weight(k, s)
+                assert out.classification in counts, (k, s)
+                counts[out.classification] += 1
+        assert counts == {"verified": 463, "finding-mismatch": 1037}
+
+    def test_a_broken_moebius_route_is_a_mismatch_not_a_finding(self, broken_moebius_route):
+        counts = {}
+        for k in range(1, 121):
+            for s in range(1, 4):
+                out = check_log_weight(k, s)
+                counts[out.classification] = counts.get(out.classification, 0) + 1
+        assert counts == {"verified": 122, "mismatch": 238}
+
     @staticmethod
     def log_vector_sides(k, s):
         """Both sides as LogLinear sums, one Fraction per term: the form the
@@ -364,6 +383,25 @@ class TestBinomialWeight:
             assert not check_binomial_weight(k, 1).passed, k
             assert check_binomial_weight(k, 1, tol=1e-9).passed, k
 
+    def test_inner_sums_are_the_multisection_terms_bit_for_bit(self):
+        # the signed cosine powers (-1)^(lK/d^s) cos(pi l/d^s)^K that the
+        # check summed before it read _multisection's terms
+        count = 0
+        for k in range(1, 257):
+            for s in range(1, 9):
+                K = k**s
+                if K > 256:
+                    break
+                for d, _ in moebius_divisors(factorize(k)):
+                    ds = d**s
+                    exact, terms, _, _, second = identities._multisection(K, ds)
+                    signed = [(-1.0 if l * (K // ds) % 2 else 1.0) * math.cos(math.pi * l / ds) ** K
+                              for l in range(1, ds + 1)]
+                    assert [t.hex() for t in terms] == [t.hex() for t in signed], (k, s, d)
+                    assert exact == sum(math.comb(K, i * ds) for i in range(K // ds + 1)) and not second
+                    count += 1
+        assert count == 1140
+
 
 class TestMultisection:
     def test_pinned_points(self):
@@ -381,6 +419,29 @@ class TestMultisection:
             check_multisection(4, 5)
         with pytest.raises(ResourceLimitError):
             check_multisection(300, 2)
+
+    @pytest.mark.parametrize("n", [25, 40])
+    def test_float_side_is_judged_by_its_derived_bound(self, n):
+        # the cosine terms reach 2^n/n and cancel down to 2: the residual is
+        # past a fixed 1e-9, yet inside the rounding bound
+        out = check_multisection(n, n)
+        assert out.passed and out.lhs == 2 and out.residual > 1e-9
+        assert not check_multisection(n, n, tol=1e-9).passed
+
+    def test_undecidable_point_is_refused(self):
+        # at (64, 64) the float side reads -1722 against 2: its bound is past lhs/2
+        with pytest.raises(ResourceLimitError, match=r"cannot decide \(n, r\) = \(64, 64\)"):
+            check_multisection(64, 64)
+        assert check_multisection(64, 64, tol=1e-9).classification == "mismatch"
+
+    def test_derived_bound_catches_a_slightly_wrong_pi(self, monkeypatch):
+        # the twin of binomial-weight's test: pi good to 12 digits, off by
+        # far less than 1e-9 at these points
+        names = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+        monkeypatch.setattr(identities, "math", types.SimpleNamespace(**dict(names, pi=3.141592653589)))
+        for n, r in ((7, 3), (12, 5), (20, 5), (40, 8)):
+            assert not check_multisection(n, r).passed, (n, r)
+            assert check_multisection(n, r, tol=1e-9).passed, (n, r)
 
 
 class TestExpWeight:
@@ -693,13 +754,17 @@ class TestSuiteRunner:
         with pytest.raises(ValueError):
             render_report(report, "xml")
 
-    def test_is_finding_scope(self):
-        bad = CheckResult("alkan", {"k": 3, "s": 2, "r": 1}, 0, 1, 1.0, "exact", False, "finding-mismatch")
-        assert not is_finding(bad)
-        log_bad = CheckResult("log-weight", {"k": 4, "s": 2}, 0, 1, 1.0, "exact", False, "finding-mismatch")
-        assert is_finding(log_bad)
-        log_s1 = CheckResult("log-weight", {"k": 4, "s": 1}, 0, 1, 1.0, "exact", False, "finding-mismatch")
-        assert not is_finding(log_s1)
+    def test_is_finding_scope(self, request):
+        # a finding is what its check classified as one: a log-weight mismatch
+        # equal to the predicted defect, and nothing that passes or hard-fails
+        assert is_finding(check_log_weight(4, 2))
+        assert not is_finding(check_log_weight(4, 1))
+        assert not is_finding(check_log_weight(48, 2))
+        out = check_gamma_weight(3, 2, tol=1e-30)
+        assert out.classification == "mismatch" and not is_finding(out)
+        request.getfixturevalue("broken_moebius_route")
+        out = check_log_weight(4, 2)
+        assert out.classification == "mismatch" and not is_finding(out)
 
     def test_grid_at_the_point_limit_is_built(self):
         limit = identities._GRID_POINT_LIMIT
