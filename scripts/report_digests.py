@@ -1,7 +1,10 @@
 """Print the sha256 of every `ramsum verify` report that the repo pins:
-`verify all` at the default grid and at `--k-max 120`, and `verify
+`verify all` at the default grid and at `--k-max 120`; `verify
 bernoulli-weight --k-max 12 --m-max 60`, whose moments up to order 60 need
-up to 14 moduli below 2^31, each in json, csv and human form.
+up to 14 moduli below 2^31; and two grids past the defaults that reach
+the multisection kernel's rounding bound, `verify multisection --n-max 40
+--r-max 40` and `verify binomial-weight --k-max 256`, whose k = 237, 243
+and 249 sit near it; each in json, csv and human form.
 
     python3 scripts/report_digests.py
 
@@ -23,6 +26,8 @@ GRIDS = (
     ("default", ["all"]),
     ("k-max-120", ["all", "--k-max", "120"]),
     ("bernoulli", ["bernoulli-weight", "--k-max", "12", "--m-max", "60"]),
+    ("multisect", ["multisection", "--n-max", "40", "--r-max", "40"]),
+    ("binomial", ["binomial-weight", "--k-max", "256"]),
 )
 FORMATS = ("human", "json", "csv")
 PINNED = {
@@ -35,6 +40,12 @@ PINNED = {
     ("bernoulli", "human"): "eb89e181ce236fed0231637922edb5969a84b44243410d727e087c67e1a2a242",
     ("bernoulli", "json"): "076f3f168297338fb89b90f62dd7d95e330aa98f55e1415a0f81968d02010c3b",
     ("bernoulli", "csv"): "9887e47bac24b57100fcbce4317f413eb9b6a6d9394a5e6e6a4cb17fe4f4b96c",
+    ("multisect", "human"): "09c5968eb2c550ca9a7ac3a734837740f934e418e0240b509c5e2662d01153de",
+    ("multisect", "json"): "b739a80c8cff2f64ecbdf0489566adc63a1a5419480ed6578de0255b4faa06d7",
+    ("multisect", "csv"): "7231352be89e7814c76673c9f3c9e2257ee5da19054d954157ac365d1a89265e",
+    ("binomial", "human"): "9e25c2ef9868e755623a26cde0b98febd5bf69a81280278fef487c1e951112ff",
+    ("binomial", "json"): "be0de855ce9ac900053463fecd96347be2a4e510d08dfccc2ee8c8a6ed70cac4",
+    ("binomial", "csv"): "0c45f80c780309ab84fb669009099a6eaa1948dd90e0d032cebe51cb2454b7f7",
 }
 
 

@@ -297,10 +297,9 @@ def check_bernoulli_weight(k: int, s: int, m: int, cap: int = DEFAULT_SWEEP_CAP)
 def _multisection(n: int, r: int) -> tuple:
     """Series multisection, sum_m C(n, mr) = (2^n/r) sum_{l=1..r} t_l with
     t_l = cos^n(pi l/r) cos(pi a_l/r), a_l = n l mod 2r reduced before pi is
-    touched.  Returns the exact sum, the float t_l, the computed angles pi l/r
-    and cosines of their first factors, and (l - 1, angle, cosine) of each
-    second factor not 1 or -1, which _cosine_error reads to bound
-    sum_l |t_l - T_l|, T_l the true terms.
+    touched.  Returns the exact sum, the float t_l and a bound on
+    sum_l |t_l - T_l|, T_l the true terms, added up term by term in the loop
+    that makes them.
 
     Proof, with u = 2^-53, assuming math.cos and float ** int are within
     1 ulp (2u relative).  In one factor, y = pi a/r is the true angle (a = l
@@ -320,43 +319,36 @@ def _multisection(n: int, r: int) -> tuple:
       adding nothing.  Any other, with c2 and eps2 its c and eps, moves the
       term by at most E (c2 + eps2) + c^n eps2; the product adds u c^n c2.
     What this drops (the factors 1 + g3 and 1 + 2u, the O(u) in the min
-    times h and the rounding of the bound's own sum) is below a relative
-    1e-12 of the bound for n <= 256; the callers' factor 1.01 covers it.
+    times h) is below a relative 1e-12 of the bound for n <= 256.  The
+    bound's own sum, of m terms added in order here and over binomial-weight's
+    divisors, is within a relative m u of its true value (m <= 576, so below
+    7e-14).  The callers' factor 1.01 covers both.
     """
+
+    def eps(x: float, c: float) -> float:
+        h = _G3 * x
+        z = min(x, math.tau - x)
+        return h * (min(z, math.pi - z) + h) + 2 * _U * c
+
     exact = sum(binomial(n, m * r) for m in range(n // r + 1))
-    angles = [math.pi * l / r for l in range(1, r + 1)]
-    cosines = list(map(math.cos, angles))
-    terms, second = [], []
-    for l, c in enumerate(cosines, 1):
+    terms, error = [], 0.0
+    for l in range(1, r + 1):
+        x = math.pi * l / r
+        cos = math.cos(x)
+        power = cos**n
+        c, p = abs(cos), abs(power)
+        e = eps(x, c)
+        err = 2 * _U * p + n * e * (c + e) ** (n - 1)
         a = (n * l) % (2 * r)
         c2 = -1.0 if a else 1.0
         if a % r:
             y = math.pi * a / r
             c2 = math.cos(y)
-            second.append((l - 1, y, c2))
-        terms.append(c**n * c2)
-    return exact, terms, angles, cosines, second
-
-
-def _cosine_error(n: int, angles: list, cosines: list, second=()) -> float:
-    """_multisection's bound on the error of its terms, read from their factors."""
-    import numpy as np
-
-    def eps(x, c):
-        h = _G3 * x
-        z = np.minimum(x, math.tau - x)
-        return h * (np.minimum(z, math.pi - z) + h) + 2 * _U * c
-
-    x, c = np.array(angles), np.abs(np.array(cosines))
-    e = eps(x, c)
-    power = c**n
-    err = 2 * _U * power + n * e * (c + e) ** (n - 1)
-    if second:
-        i, y, c2 = np.array(second).T
-        i, c2 = i.astype(np.intp), np.abs(c2)
-        e2 = eps(y, c2)
-        err[i] = err[i] * (c2 + e2) + power[i] * (e2 + _U * c2)
-    return float(err.sum())
+            e2 = eps(y, abs(c2))
+            err = err * (abs(c2) + e2) + p * (e2 + _U * abs(c2))
+        terms.append(power * c2)
+        error += err
+    return exact, terms, error
 
 
 def check_binomial_weight(k: int, s: int, tol: float | None = None) -> CheckResult:
@@ -366,20 +358,19 @@ def check_binomial_weight(k: int, s: int, tol: float | None = None) -> CheckResu
     The float side R = 2^K O, O the fsum of the mu(k/d) I_d and I_d that of
     the terms of d (their second factors all 1 or -1), passes when |R - lhs|
     <= 2^K (E + u sum_d |I_d| + u |O|) + u |lhs| (with --tol, when its
-    relative error is within tol), E being the terms' _cosine_error and
-    u = 2^-53: each correctly rounded fsum adds u times its sum, mu(k/d) and
-    2^K are exact and float(lhs) adds u |lhs|.
+    relative error is within tol), E the sum of the divisors' _multisection
+    error bounds and u = 2^-53: each correctly rounded fsum adds u times its
+    sum, mu(k/d) and 2^K are exact and float(lhs) adds u |lhs|.
     """
     K = _period(k, s, _MULTISECTION_N_MAX, "the binomial-weight sum, whose binomials grow as 2^(k^s)")
     vals = csum_table(k, s, _MULTISECTION_N_MAX).array.tolist()
     lhs = sum(binomial(K, j) * vals[j % K] for j in range(K + 1))
-    rhs, outer, angles, cosines = 0, [], [], []
+    rhs, outer, error = 0, [], 0.0
     for d, mu in moebius_divisors(factorize(k)):
-        exact, terms, x, c, _ = _multisection(K, d**s)
+        exact, terms, err = _multisection(K, d**s)
         rhs += mu * d**s * exact
         outer.append(mu * math.fsum(terms))
-        angles += x
-        cosines += c
+        error += err
     total = math.fsum(outer)
     lhs_float = float(lhs)
     diff = abs(2.0**K * total - lhs_float)
@@ -387,7 +378,7 @@ def check_binomial_weight(k: int, s: int, tol: float | None = None) -> CheckResu
     residual = max(rel, float(abs(lhs - rhs)))
     if tol is None:
         # |mu(k/d)| = 1, so the outer terms' sizes are the inner sums' |I_d|
-        bound = 2.0**K * (_cosine_error(K, angles, cosines) + _U * (math.fsum(map(abs, outer)) + abs(total)))
+        bound = 2.0**K * (error + _U * (math.fsum(map(abs, outer)) + abs(total)))
         float_ok = diff <= 1.01 * (bound + _U * abs(lhs_float))
     else:
         float_ok = rel <= tol
@@ -400,7 +391,7 @@ def check_multisection(n: int, r: int, tol: float | None = None) -> CheckResult:
 
     The float side passes when |rhs - lhs| <= 2^n/r (E + u |S|) + u (2 |rhs|
     + |lhs|) (with --tol, when its relative error is within tol), E being the
-    terms' _cosine_error, S their correctly rounded fsum and u = 2^-53: the
+    terms' error bound, S their correctly rounded fsum and u = 2^-53: the
     fsum adds u |S|, 2^n/r and its product with S round once each, and
     float(lhs) adds u |lhs|.  The scaled terms reach 2^n/r and cancel down to
     lhs, so where that bound is not below lhs/2 the float side cannot decide
@@ -410,13 +401,13 @@ def check_multisection(n: int, r: int, tol: float | None = None) -> CheckResult:
         raise ValueError("need 1 <= r <= n")
     if n > _MULTISECTION_N_MAX:
         raise ResourceLimitError(f"n = {n} exceeds {_MULTISECTION_N_MAX} for the multisection check")
-    lhs, terms, angles, cosines, second = _multisection(n, r)
+    lhs, terms, error = _multisection(n, r)
     S = math.fsum(terms)
     rhs = 2.0**n / r * S
     diff = abs(rhs - float(lhs))
     residual = diff / max(1.0, float(lhs))
     if tol is None:
-        bound = 2.0**n / r * (_cosine_error(n, angles, cosines, second) + _U * abs(S)) + _U * (2 * abs(rhs) + lhs)
+        bound = 2.0**n / r * (error + _U * abs(S)) + _U * (2 * abs(rhs) + lhs)
         if 2 * bound >= lhs:
             raise ResourceLimitError(f"the float side of multisection cannot decide (n, r) = ({n}, {r})")
         float_ok = diff <= 1.01 * bound
@@ -614,8 +605,12 @@ def _rvals(cfg: SuiteConfig, default: int, bernoulli: bool = True) -> range:
     return range(1, r_max + 1)
 
 
-def _nmax(cfg: SuiteConfig, default: int) -> int:
-    return cfg.n_max if cfg.n_max is not None else default
+def _nmax(cfg: SuiteConfig, default: int, ceiling: int | None = None, identity: str = "") -> int:
+    """--n-max or the default, refused past the identity's ceiling, not cut down to it."""
+    n_max = cfg.n_max if cfg.n_max is not None else default
+    if ceiling is not None and n_max > ceiling:
+        raise ResourceLimitError(f"--n-max {n_max} exceeds {ceiling}, the ceiling of the {identity} check")
+    return n_max
 
 
 def _mmax(cfg: SuiteConfig, default: int) -> int:
@@ -666,7 +661,7 @@ def _grid_gamma_weight(cfg):
 
 
 def _grid_gauss_product(cfg):
-    return ({"N": n} for n in range(1, min(_nmax(cfg, 100), _GAUSS_N_MAX) + 1))
+    return ({"N": n} for n in range(1, _nmax(cfg, 100, _GAUSS_N_MAX, "gauss-product") + 1))
 
 
 def _grid_bernoulli_weight(cfg):
@@ -684,7 +679,7 @@ def _grid_binomial_weight(cfg):
 
 
 def _grid_multisection(cfg):
-    nmax = min(_nmax(cfg, 40), _MULTISECTION_N_MAX)
+    nmax = _nmax(cfg, 40, _MULTISECTION_N_MAX, "multisection")
     rmax = cfg.r_max if cfg.r_max is not None else 8
     return ({"n": n, "r": r} for n in range(1, nmax + 1) for r in range(1, min(n, rmax) + 1))
 

@@ -453,6 +453,24 @@ class TestGridSize:
         limit = identities._GRID_POINT_LIMIT
         assert err == f"ramsum: error: the grid passes {limit} points, the limit of one verify run\n"
 
+    @pytest.mark.parametrize(
+        "argv, identity, ceiling",
+        [
+            (["gauss-product", "--n-max", "1000"], "gauss-product", 500),
+            (["multisection", "--n-max", "300", "--r-max", "2"], "multisection", 256),
+            (["all", "--n-max", "300"], "multisection", 256),
+        ],
+    )
+    def test_n_past_a_ceiling_is_refused_while_built(self, capsys, monkeypatch, argv, identity, ceiling):
+        # --n-max past an identity's ceiling is refused, not cut down to it
+        def never(point):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(identities, "_run_point", never)
+        code, out, err = run_main(capsys, "verify", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"ramsum: error: --n-max {argv[2]} exceeds {ceiling}, the ceiling of the {identity} check\n"
+
     @pytest.mark.parametrize("identity, passed", [("alkan", 52), ("alkan-classical", 40), ("gamma-weight", 11)])
     def test_k_past_the_cap_ends_the_grid(self, capsys, identity, passed):
         # every k past the cap has k^s > cap, so the grid stops there, not at --k-max
@@ -878,8 +896,23 @@ class TestSubprocessInvocation:
             (("eval", "csum", "--k", "30", "--j", "7", "--s", "2", "--method", "hoelder"), False),
             (("eval", "csum", "--k", "30", "--j", "7", "--s", "2", "--method", "direct"), True),
             (("table", "--k", "6"), True),
+            (("verify", "multisection"), False),
+            (("verify", "gauss-product"), False),
+            (("verify", "binomial-weight"), True),
         ],
-        ids=["jordan", "gengcd", "bernoulli", "theta", "moebius", "hoelder", "direct", "table"],
+        ids=[
+            "jordan",
+            "gengcd",
+            "bernoulli",
+            "theta",
+            "moebius",
+            "hoelder",
+            "direct",
+            "table",
+            "verify-multisection",
+            "verify-gauss-product",
+            "verify-binomial-weight",
+        ],
     )
     def test_numpy_is_loaded_only_to_build_periods(self, argv, loads):
         # the exact routes never build an array, so they never pay numpy's import

@@ -394,11 +394,11 @@ class TestBinomialWeight:
                     break
                 for d, _ in moebius_divisors(factorize(k)):
                     ds = d**s
-                    exact, terms, _, _, second = identities._multisection(K, ds)
+                    exact, terms, _ = identities._multisection(K, ds)
                     signed = [(-1.0 if l * (K // ds) % 2 else 1.0) * math.cos(math.pi * l / ds) ** K
                               for l in range(1, ds + 1)]
                     assert [t.hex() for t in terms] == [t.hex() for t in signed], (k, s, d)
-                    assert exact == sum(math.comb(K, i * ds) for i in range(K // ds + 1)) and not second
+                    assert exact == sum(math.comb(K, i * ds) for i in range(K // ds + 1))
                     count += 1
         assert count == 1140
 
@@ -433,6 +433,19 @@ class TestMultisection:
         with pytest.raises(ResourceLimitError, match=r"cannot decide \(n, r\) = \(64, 64\)"):
             check_multisection(64, 64)
         assert check_multisection(64, 64, tol=1e-9).classification == "mismatch"
+
+    def test_decisions_are_pinned(self):
+        # every point with n <= 128: the bound decides 7429 and refuses 827,
+        # the first of them at (50, 50)
+        outcomes, refused = {True: 0, False: 0}, []
+        for n in range(1, 129):
+            for r in range(1, n + 1):
+                try:
+                    outcomes[check_multisection(n, r).passed] += 1
+                except ResourceLimitError:
+                    refused.append((n, r))
+        assert (outcomes[True], outcomes[False], len(refused)) == (7429, 0, 827)
+        assert refused[0] == (50, 50)
 
     def test_derived_bound_catches_a_slightly_wrong_pi(self, monkeypatch):
         # the twin of binomial-weight's test: pi good to 12 digits, off by
