@@ -4,7 +4,9 @@ bernoulli-weight --k-max 12 --m-max 60`, whose moments up to order 60 need
 up to 14 moduli below 2^31; and two grids past the defaults that reach
 the multisection kernel's rounding bound, `verify multisection --n-max 40
 --r-max 40` and `verify binomial-weight --k-max 256`, whose k = 237, 243
-and 249 sit near it; each in json, csv and human form.
+and 249 sit near it; and `verify multivariate --ks "6;2,3;2,3,5;2,3,5,7"
+--r-max 2`, whose lists of one and four moduli no other grid builds; each
+in json, csv and human form.
 
     python3 scripts/report_digests.py
 
@@ -28,6 +30,7 @@ GRIDS = (
     ("bernoulli", ["bernoulli-weight", "--k-max", "12", "--m-max", "60"]),
     ("multisect", ["multisection", "--n-max", "40", "--r-max", "40"]),
     ("binomial", ["binomial-weight", "--k-max", "256"]),
+    ("moduli", ["multivariate", "--ks", "6;2,3;2,3,5;2,3,5,7", "--r-max", "2"]),
 )
 FORMATS = ("human", "json", "csv")
 PINNED = {
@@ -46,6 +49,9 @@ PINNED = {
     ("binomial", "human"): "9e25c2ef9868e755623a26cde0b98febd5bf69a81280278fef487c1e951112ff",
     ("binomial", "json"): "be0de855ce9ac900053463fecd96347be2a4e510d08dfccc2ee8c8a6ed70cac4",
     ("binomial", "csv"): "0c45f80c780309ab84fb669009099a6eaa1948dd90e0d032cebe51cb2454b7f7",
+    ("moduli", "human"): "6b9997e13b745c8ddd0c69699090e2228e2a0ac4e977676a792e8d938a25d2db",
+    ("moduli", "json"): "d928a56b0e1d1ea2100face67a28f9eeb79320458f827d8b8e77d318c72fb8cd",
+    ("moduli", "csv"): "0125db727c9b889f227b146e9c9520b8768a23b083d77aaaf7d37f756f798910",
 }
 
 

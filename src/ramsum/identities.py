@@ -45,9 +45,11 @@ DEFAULT_SWEEP_CAP = 100_000
 # the most points one verify run builds, about 30 MB of them: verify all
 # takes 25377 at --k-max 240 and 68941 at --k-max 1000
 _GRID_POINT_LIMIT = 100_000
-# hard ceilings, read by the grids too: the multisection kernel's n and gauss-product's N
+# hard ceilings, read by the grids too: the multisection kernel's n,
+# gauss-product's N and the count of multivariate's moduli
 _MULTISECTION_N_MAX = 256
 _GAUSS_N_MAX = 500
+_MODULI_MAX = 4
 DEFAULT_FLOAT_TOL = 1e-8
 GAUSS_TOL = 1e-9
 COSINE_TOL = 1e-9
@@ -91,7 +93,8 @@ def parse_weight(token: str) -> WeightFunctionSpec:
     """Parse CLI weight tokens: power:T, jordan:T, phi, tau, sigma."""
     name, _, arg = token.partition(":")
     if name in ("power", "jordan"):
-        if not arg.lstrip("-").isdigit():
+        # one optional minus sign, then decimal digits, all of which int() reads
+        if not arg.removeprefix("-").isdecimal():
             raise ValueError(f"weight {name!r} needs an integer parameter, got {token!r}")
         t = int(arg)
         if t < 0:
@@ -475,8 +478,8 @@ def check_multivariate(ks, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Chec
     required to match as well.
     """
     ks = list(ks)
-    if not 1 <= len(ks) <= 4:
-        raise ValueError("between 1 and 4 moduli")
+    if not 1 <= len(ks) <= _MODULI_MAX:
+        raise ValueError(f"between 1 and {_MODULI_MAX} moduli")
     if r < 1:
         raise ValueError("r must be positive")
     k = reduce(math.lcm, ks, 1)
@@ -699,6 +702,8 @@ def _grid_multivariate(cfg):
     kvals = _kvals(cfg, "multivariate")
     tuples = cfg.ks if cfg.ks is not None else [ks for ks in DEFAULT_TUPLES if reduce(math.lcm, ks) in kvals]
     for ks in tuples:
+        if not 1 <= len(ks) <= _MODULI_MAX:
+            raise ValueError(f"moduli group {tuple(ks)} has {len(ks)} moduli, not between 1 and {_MODULI_MAX}")
         k = reduce(math.lcm, ks, 1)
         for s, _ in _capped_s(cfg, k, 2, cfg.cap):
             for r in _rvals(cfg, 3):
@@ -863,38 +868,28 @@ def _cells(r: CheckResult) -> list:
     json.dumps(params, sort_keys=True, separators=(",", ":")) writes them."""
     _, order, compact = _formats(r.params)
     values = [
-        write(v) if (write := _PARAM_JSON.get(type(v))) else json.dumps(v, sort_keys=True, separators=(",", ":"))
-        for v in map(r.params.__getitem__, order)
+        write(v) if (write := _PARAM_JSON.get(type(v))) else _params_list(v) for v in map(r.params.__getitem__, order)
     ]
     params = compact.format(*values)
     passed = "true" if r.passed else "false"
     return [r.identity, params, _text(r.lhs), _text(r.rhs), _text(r.residual), r.mode, passed, r.classification]
 
 
-# json.dumps(v, sort_keys=True, indent=2) writes the same bytes, but with an
-# indent it runs the pure-Python encoder, whose nested closures leave one
-# reference cycle per call for the collector: over the 466 list params of
-# the --k-max 120 report they raised that run's peak RSS by about 1.1 MB
-def _json_params(v, pad: str) -> str:
-    """params as json.dumps(v, sort_keys=True, indent=2) writes them on a line
-    indented by pad.  Params hold dicts, lists, strings and ints only; any other
-    type raises rather than risk bytes that differ from json.dumps."""
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if type(v) is int:
-        return int.__repr__(v)
-    inner = pad + "  "
-    if isinstance(v, list):
-        items = [_json_params(x, inner) for x in v]
-        brackets = "[]"
-    elif isinstance(v, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_json_params(x, inner)}" for key, x in sorted(v.items())]
-        brackets = "{}"
-    else:
-        raise TypeError(f"params hold dicts, lists, strings and ints, not {type(v).__name__}")
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+def _params_list(v, pad: str | None = None) -> str:
+    """A params list as json.dumps writes it: compact, as [2,3], or with pad
+    as indent=2 lays it out on a line indented by pad.  A params value is an
+    int (not a bool), a string or a flat list of those, in every report
+    format; anything else raises.  json.dumps with an indent is not called:
+    its pure-Python encoder leaves one reference cycle per call for the
+    collector, which over the 466 lists of the --k-max 120 report raised that
+    run's peak RSS by about 1.1 MB."""
+    items = [write(x) for x in v if (write := _PARAM_JSON.get(type(x)))] if type(v) is list else None
+    if items is None or len(items) != len(v):
+        raise TypeError(f"params hold ints, strings and flat lists of them, not {v!r}")
+    if pad is None or not items:
+        return "[" + ",".join(items) + "]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
 # one JSON result row, its keys in sorted order, as json.dumps(indent=2) lays
@@ -930,9 +925,9 @@ def _formats(params: dict) -> tuple:
 def _json_row(r: CheckResult) -> str:
     params = r.params
     fmt, order, _ = _formats(params)
-    # ints and strings fill the format directly; only nested lists (ks, ks2) are laid out
+    # ints and strings fill the format directly; only the lists (ks, ks2) are laid out
     values = [
-        write(v) if (write := _PARAM_JSON.get(type(v))) else _json_params(v, "        ")
+        write(v) if (write := _PARAM_JSON.get(type(v))) else _params_list(v, "        ")
         for v in map(params.__getitem__, order)
     ]
     return fmt.format(

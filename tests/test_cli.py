@@ -471,6 +471,16 @@ class TestGridSize:
         assert (code, out) == (1, "")
         assert err == f"ramsum: error: --n-max {argv[2]} exceeds {ceiling}, the ceiling of the {identity} check\n"
 
+    def test_too_many_moduli_are_refused_while_built(self, capsys, monkeypatch):
+        # the (2, 3) group ahead of it would otherwise run first
+        def never(point):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(identities, "_run_point", never)
+        code, out, err = run_main(capsys, "verify", "multivariate", "--ks", "2,3;1,2,3,4,5", "--r-max", "1")
+        assert (code, out) == (1, "")
+        assert err == "ramsum: error: moduli group (1, 2, 3, 4, 5) has 5 moduli, not between 1 and 4\n"
+
     @pytest.mark.parametrize("identity, passed", [("alkan", 52), ("alkan-classical", 40), ("gamma-weight", 11)])
     def test_k_past_the_cap_ends_the_grid(self, capsys, identity, passed):
         # every k past the cap has k^s > cap, so the grid stops there, not at --k-max

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import random
+import re
 import types
 from dataclasses import replace
 from fractions import Fraction
@@ -59,8 +60,8 @@ from ramsum.identities import (
     weight_value,
     _exp_spectrum,
     _cells,
-    _json_params,
     _json_row,
+    _params_list,
     _run_point,
 )
 from ramsum.logspace import LogLinear, float_value, legendre_exponents
@@ -73,10 +74,14 @@ class TestWeightSpecs:
         assert parse_weight("phi") == WeightFunctionSpec("phi")
         assert parse_weight("tau") == WeightFunctionSpec("tau")
         assert parse_weight("sigma") == WeightFunctionSpec("sigma")
+        # a minus zero and decimal digits of another script are read as int() reads them
+        assert parse_weight("power:-0") == WeightFunctionSpec("power", t=0)
+        assert parse_weight("power:\u0661") == WeightFunctionSpec("power", t=1)
 
-    @pytest.mark.parametrize("token", ["power", "jordan:x", "phi:3", "bogus", "power:-1"])
+    @pytest.mark.parametrize("token", ["power", "jordan:x", "phi:3", "bogus", "power:-1", "power:--5", "jordan:\u00b2"])
     def test_parse_rejects(self, token):
-        with pytest.raises(ValueError):
+        # int() cannot read --5 or a superscript two; every message names the token
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
             parse_weight(token)
 
     def test_values_against_brute(self):
@@ -860,23 +865,30 @@ class TestJsonTemplate:
             text = render_report(report, fmt)
             assert "np.float64" not in text and "-0.25" in text
 
-    @pytest.mark.parametrize("bad", [True, 0.5])
+    @pytest.mark.parametrize("bad", [True, 0.5, None, [2, [3]], {"k": 2}])
     def test_params_writer_refuses_other_types(self, bad):
-        # json.dumps writes true and 0.5; the params writer refuses what params never hold
-        with pytest.raises(TypeError):
-            _json_params({"k": 2, "s": bad}, "      ")
+        # json.dumps writes all of these; every format refuses what params never hold
+        for pad in (None, "        "):
+            with pytest.raises(TypeError):
+                _params_list(bad, pad)
+            with pytest.raises(TypeError):
+                _params_list([2, bad], pad)
+        for params in ({"k": 2, "s": bad}, {"ks": [2, bad], "s": 1}):
+            report = IdentityReport(dict(self.SUITE), [CheckResult("x", params, 0, 0, 0.0, "exact", True, "v")], 1, 0, 0)
+            for fmt in ("json", "csv", "human"):
+                with pytest.raises(TypeError):
+                    render_report(report, fmt)
 
     def test_row_of_every_params_shape(self, monkeypatch):
         # one point of each registry identity, then params the registry never
-        # builds: empty, an empty list, keys that need escaping in a format, and
-        # a nested object
+        # builds: empty, an empty list, keys that need escaping in a format,
+        # and a string in a list
         monkeypatch.setattr(identities, "_ROW_FORMATS", {})
         results = [_run_point(build_grid(SuiteConfig(identities=(identity,)))[0]) for identity in ALL_IDENTITIES]
         results += [
             CheckResult("gauss-product", {}, 1.5, 1.5, 0.0, "float", True, "numerical-pass"),
             CheckResult("g-multiplicative", {"ks": [7, 1], "ks2": [], "m": 0, "s": 3}, 1, 1, 0.0, "exact", True, "v"),
-            CheckResult("x", {"{k}": 1, "caf\u00e9 {}": "\u2603", "a\"b": [[2], []]}, 0, 0, 0.0, "exact", True, "v"),
-            CheckResult("x", {"d": {"z": [1, {}], "a": {"y": "\u2603", "x": [[]]}}, "k": 2}, 0, 0, 0.0, "exact", True, "v"),
+            CheckResult("x", {"{k}": 1, "caf\u00e9 {}": "\u2603", "a\"b": [2, "\u2603"]}, 0, 0, 0.0, "exact", True, "v"),
         ]
         shapes = {tuple(r.params) for r in results}
         assert {"ks", "ks2"} <= set().union(*shapes) and () in shapes
