@@ -22,6 +22,7 @@ from .identities import (
     DEFAULT_K_MAX,
     DEFAULT_SWEEP_CAP,
     SuiteConfig,
+    _decimal_int,
     render_report,
     resolve_identities,
     run_suite,
@@ -131,11 +132,8 @@ def _parse_ks(text: str) -> tuple:
         part = part.strip()
         if not part:
             continue
-        try:
-            values = tuple(int(v) for v in part.split(","))
-        except ValueError:
-            values = ()  # not a list of ints
-        if not values or any(v < 1 for v in values):
+        values = tuple(_decimal_int(v.strip()) for v in part.split(","))
+        if None in values or any(v < 1 for v in values):
             raise ValueError(f"bad moduli group {part!r}")
         groups.append(values)
     if not groups:

@@ -144,8 +144,10 @@ def _root_sum(mask: np.ndarray, r: int) -> complex:
     both angle integers reduced mod K exactly; every intermediate is below
     K B, under 2^63 for any K whose mask fits in memory.  The mask,
     zero-padded to a B x B grid (at most one row past ceil(K/B)), times the
-    column roots gives each row's sum R_a in one matrix product, and the
-    products of the R_a with the row roots are added by math.fsum.
+    column roots gives each row's sum R_a = C_a + i S_a in one matrix
+    product, and one 2 x 2 product of the row roots [cos; sin] with [C, S]
+    gives the four dot products cC, cS, sC and sS; the real part is cC - sS
+    and the imaginary part sC + cS.
 
     Rounding, to first order in u = 2^-53 (Higham, ch. 3 and 4), for J set
     entries, n_a of them in row a.  A root's angle 2 pi t / K is computed
@@ -158,8 +160,11 @@ def _root_sum(mask: np.ndarray, r: int) -> complex:
                  (B-1) u sum|terms|, and with f the row angle and g a column
                  angle, |cos f| |cos g| + |sin f| |sin g| <= 1;
       d J        from the row roots, since |R_a| <= n_a;
-      u J        from the products, and u J from the final rounding.
-    In all, with the higher-order terms, within (B + 48) u J of the exact sum.
+      B u J      from the two dot products of B terms: each errs by at most
+                 B u sum|terms| in any order, and for each a the terms of
+                 the pair add up to |c_a| |C_a| + |s_a| |S_a| <= |R_a| <= n_a;
+      u J        from the final add or subtract.
+    In all, with the higher-order terms, within (2B + 48) u J of the exact sum.
     """
     import numpy as np
 
@@ -168,12 +173,12 @@ def _root_sum(mask: np.ndarray, r: int) -> complex:
     ang = (2.0 * np.pi / K) * (np.array([[r], [r * B % K]]) * np.arange(B) % K)
     # rows: cos of the column roots, cos of the row roots, then sin of each
     E = np.concatenate([np.cos(ang), np.sin(ang)])
-    grid = np.zeros(B * B)
+    grid = np.empty(B * B)
     grid[:K] = mask
-    C, S = E[::2] @ grid.reshape(B, B).T
-    c, s = E[1], E[3]
-    re = math.fsum([*(c * C).tolist(), *(-s * S).tolist()])
-    return complex(re, math.fsum([*(s * C).tolist(), *(c * S).tolist()]))
+    grid[K:] = 0.0
+    rows = E[::2] @ grid.reshape(B, B).T
+    (cC, cS), (sC, sS) = (E[1::2] @ rows.T).tolist()
+    return complex(cC - sS, sC + cS)
 
 
 def _spectrum(k: int, s: int, mask: np.ndarray) -> np.ndarray:
@@ -201,7 +206,7 @@ def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
     """c_k^(s)(j) summed over the unit circle.
 
     The first call for a (k, s) adds its J_s(k) roots of unity from about
-    4 sqrt(k^s) cosines and sines (see _root_sum), within (B + 48) 2^-53
+    4 sqrt(k^s) cosines and sines (see _root_sum), within (2B + 48) 2^-53
     J_s(k) of the exact sum in each part, B = isqrt(k^s - 1) + 1.  A later
     call while its mask is among the four most recent reads one bin of the
     real FFT spectrum of the s-coprime indicator, which that call builds

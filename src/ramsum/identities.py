@@ -89,14 +89,20 @@ def weight_value(spec: WeightFunctionSpec, x: int) -> int:
     raise ValueError(f"unknown weight kind {spec.kind!r}")
 
 
+def _decimal_int(text: str) -> int | None:
+    """The int text spells as one optional minus and ASCII decimal digits,
+    else None: int() alone would also read 1_0, +3 and other scripts' digits."""
+    digits = text.removeprefix("-")
+    return int(text) if digits.isascii() and digits.isdecimal() else None
+
+
 def parse_weight(token: str) -> WeightFunctionSpec:
     """Parse CLI weight tokens: power:T, jordan:T, phi, tau, sigma."""
     name, _, arg = token.partition(":")
     if name in ("power", "jordan"):
-        # one optional minus sign, then decimal digits, all of which int() reads
-        if not arg.removeprefix("-").isdecimal():
+        t = _decimal_int(arg)
+        if t is None:
             raise ValueError(f"weight {name!r} needs an integer parameter, got {token!r}")
-        t = int(arg)
         if t < 0:
             raise ValueError(f"weight parameter must be nonnegative in {token!r}")
         return WeightFunctionSpec(name, t=t)

@@ -75,16 +75,6 @@ class LogLinear:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        scalar = Fraction(scalar)
-        if not scalar:
-            return LogLinear._raw({})
-        return LogLinear._raw({sym: v * scalar for sym, v in self._c.items()})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, LogLinear):
             return NotImplemented

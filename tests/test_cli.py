@@ -620,7 +620,9 @@ class TestVerify:
         code, _, err = run_main(capsys, "verify", "multivariate", "--ks", "0,3")
         assert code == 1 and "moduli" in err
 
-    @pytest.mark.parametrize("ks, bad", [("2,x", "2,x"), ("2;;3,", "3,")])
+    @pytest.mark.parametrize(
+        "ks, bad", [("2,x", "2,x"), ("2;;3,", "3,"), ("1_0,3", "1_0,3"), ("2;+3", "+3"), ("2,\u0663", "2,\u0663")]
+    )
     def test_unparsed_ks_names_the_group(self, capsys, ks, bad):
         code, out, err = run_main(capsys, "verify", "multivariate", "--ks", ks)
         assert (code, out, err) == (1, "", f"ramsum: error: bad moduli group {bad!r}\n")

@@ -400,8 +400,9 @@ LARGE_PERIODS = [(999983, 1), (1000, 2), (99991, 1), (316, 2), (46, 3)]
 
 
 def root_sum_bound(k, s):
-    """(B + 48) u J_s(k) with B = isqrt(k^s - 1) + 1, csum._root_sum's bound
-    on each part of a cold direct sum."""
+    """(B + 48) u J_s(k) with B = isqrt(k^s - 1) + 1: a pinned tolerance on
+    each part of a cold direct sum, tighter than the (2B + 48) u J_s(k) that
+    csum._root_sum derives."""
     return (math.isqrt(k**s - 1) + 1 + 48) * 2.0**-53 * jordan_totient(s, factorize(k))
 
 
@@ -445,9 +446,18 @@ class TestRootSum:
             assert abs(z.imag) <= bound, (k, s, j)
 
     def test_agrees_with_the_term_by_term_oracle(self, cleared):
-        for j in (3, 2**64 + 1):
-            cleared()
-            assert abs(csum_direct(99991, j, 1) - fsum_oracle(99991, j, 1)) <= root_sum_bound(99991, 1), j
+        # a prime period, and the square and cube periods point-scatter sums cold
+        for k, s in [(99991, 1), (316, 2), (46, 3)]:
+            for j in (3, 2**64 + 1):
+                cleared()
+                assert abs(csum_direct(k, j, s) - fsum_oracle(k, j, s)) <= root_sum_bound(k, s), (k, s, j)
+
+    @pytest.mark.parametrize("k, s", [(999983, 1), (1000, 2)])
+    def test_derived_bound_is_below_the_warning_level(self, k, s):
+        # csum_eval warns past a 1e-6 residual; the worst case at the default cap stays under it
+        assert k**s <= csum.DEFAULT_CAP
+        derived = (2 * (math.isqrt(k**s - 1) + 1) + 48) * 2.0**-53 * jordan_totient(s, factorize(k))
+        assert root_sum_bound(k, s) < derived < 1e-6
 
 
 class TestDirectMask:

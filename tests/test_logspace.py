@@ -39,11 +39,6 @@ class TestLogLinearAlgebra:
         assert a + b == LogLinear()
         assert a - a == LogLinear()
 
-    def test_scalar_multiply(self):
-        a = LogLinear({3: Fraction(1, 2)})
-        assert 2 * a == LogLinear({3: 1})
-        assert a * Fraction(0) == LogLinear()
-
     def test_neg(self):
         a = LogLinear({7: Fraction(2, 3)})
         assert (-a) + a == LogLinear()
