@@ -292,9 +292,9 @@ def gen_gcd(j: int, k: int, s: int = 1) -> int:
     sign-blind), which makes the k^s-periodic callers uniform.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise ValueError(f"k must be positive, got {k}")
     if s < 1:
-        raise ValueError("s must be positive")
+        raise ValueError(f"s must be positive, got {s}")
     j = abs(j)
     if j == 0:
         return k

@@ -38,16 +38,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_at_least(lo: int):
-    """argparse type for an int flag no smaller than lo; argparse names the
-    flag in the usage error."""
+def _int_at_least(lo: int | None = None):
+    """argparse type for an int flag spelled by identities._decimal_int's one
+    digits rule, and no smaller than lo if given; argparse names the flag in
+    the usage error."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < lo:
+            value = _decimal_int(text)
+        except ValueError:  # past the int-to-str digit limit
+            value = None
+        if value is None:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if lo is not None and value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
         return value
 
@@ -73,32 +76,32 @@ def build_parser() -> argparse.ArgumentParser:
     ev = p_eval.add_subparsers(dest="what", required=True, parser_class=_Parser)
 
     p = ev.add_parser("csum", help="c_k^(s)(j)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--k", type=_int_at_least(), required=True)
+    p.add_argument("--j", type=_int_at_least(), required=True)
+    p.add_argument("--s", type=_int_at_least(), default=1)
     p.add_argument("--method", choices=("moebius", "hoelder", "direct"), default="moebius")
     p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_CAP, help="largest k^s any evaluation may touch")
 
     p = ev.add_parser("jordan", help="Jordan totient J_s(n)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--n", type=_int_at_least(), required=True)
+    p.add_argument("--s", type=_int_at_least(), default=1)
 
     p = ev.add_parser("bernoulli", help="Bernoulli number B_m")
     p.add_argument("--m", type=_int_at_least(0), required=True)
 
     p = ev.add_parser("gengcd", help="generalized gcd (j, k^s)_s")
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--j", type=_int_at_least(), required=True)
+    p.add_argument("--k", type=_int_at_least(), required=True)
+    p.add_argument("--s", type=_int_at_least(), default=1)
 
     p = ev.add_parser("theta", help="indicator theta_k^(s)(n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--k", type=_int_at_least(), required=True)
+    p.add_argument("--n", type=_int_at_least(), required=True)
+    p.add_argument("--s", type=_int_at_least(), default=1)
 
     p = sub.add_parser("table", help="one full period of c_k^(s)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--k", type=_int_at_least(), required=True)
+    p.add_argument("--s", type=_int_at_least(), default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_CAP, help="largest k^s any evaluation may touch")
 
@@ -114,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", type=str, default=None, help="multivariate moduli, e.g. '2,3;4,6'")
     p.add_argument("--weights", type=str, default=None, help="comma list: power:T|power:s|phi|jordan:T|tau|sigma")
     p.add_argument("--tuples", type=_int_at_least(0), default=20, help="random tuple count for g-multiplicative")
-    p.add_argument("--seed", type=int, default=91)
+    p.add_argument("--seed", type=_int_at_least(), default=91)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes, at most one per CPU and point")
     p.add_argument("--format", choices=("json", "csv", "human"), default="human")
     p.add_argument("--tol", type=_tolerance, default=None, help="override floating tolerances")

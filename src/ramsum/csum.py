@@ -3,24 +3,19 @@
 Three independent routes are provided.  The Moebius route sums d^s mu(k/d)
 over divisors d of the generalized gcd; the Hoelder route uses the closed
 form J_s(k) mu(k/e) / J_s(k/e); the direct route adds the k^s-th roots of
-unity over the s-coprime residues, each root the product of a row root and a
-column root so that one matrix product over the residue mask does the sum,
-and answers a reused (k, s) from one real FFT of their indicator, kept in
-ramsum.store under its byte budget.  Each exact route memoizes only the gcd
-class it is asked for and shares no cached state with the other, so their
-agreement is an independent check.
+unity over the s-coprime residues exactly, in the group ring Z[x]/(x^M - 1)
+of their mask folded mod M = k^s / gcd(j, k^s).  Each route memoizes only the
+gcd class it is asked for and shares no cached value with the others, so
+their agreement is an independent check.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import store
 from .arith import factorize, gen_gcd, jordan_totient, moebius, moebius_divisors
 from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
 
@@ -28,7 +23,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_CAP = 1_000_000
-_kept = store.kept["spectrum"]  # the direct route's spectra, by (k, s)
 
 
 class CsumEvaluation(NamedTuple):
@@ -42,13 +36,6 @@ class CsumEvaluation(NamedTuple):
     method: str
 
 
-def _check_args(k: int, s: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if s < 1:
-        raise ValueError(f"s must be positive, got {s}")
-
-
 def _period(k: int, s: int, cap: int, what: str) -> int:
     """k^s after checking k, s >= 1, or ResourceLimitError past cap.
 
@@ -56,7 +43,10 @@ def _period(k: int, s: int, cap: int, what: str) -> int:
     before it is built, and the message never prints k^s: a huge s costs
     nothing and cannot hit the int-to-str digit limit.
     """
-    _check_args(k, s)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if s < 1:
+        raise ValueError(f"s must be positive, got {s}")
     if s * (k.bit_length() - 1) < cap.bit_length():
         K = k**s
         if K <= cap:
@@ -85,7 +75,6 @@ def _moebius_value(k: int, s: int, g: int) -> int:
 
 def csum_moebius(k: int, j: int, s: int = 1) -> int:
     """c_k^(s)(j) via sum of d^s mu(k/d) over d dividing gen_gcd(j, k, s)."""
-    _check_args(k, s)
     return _moebius_value(k, s, gen_gcd(j, k, s))
 
 
@@ -107,23 +96,13 @@ def _hoelder_value(k: int, s: int, e: int) -> int:
 
 def csum_hoelder(k: int, j: int, s: int = 1) -> int:
     """c_k^(s)(j) via the closed form J_s(k) mu(k/e) / J_s(k/e)."""
-    _check_args(k, s)
     return _hoelder_value(k, s, gen_gcd(j, k, s))
 
 
-@dataclass(eq=False)
-class _DirectContext:
-    """One (k, s) of the direct route: the mask of its s-coprime residues and
-    whether the key has been asked for yet."""
-
-    mask: np.ndarray
-    cold: bool = True
-
-
 @lru_cache(maxsize=4)
-def _direct_context(k: int, s: int) -> _DirectContext:
-    """The boolean mask over m mod k^s of (m, k^s)_s = 1, index 0 standing for
-    m = k^s, in a fresh cold context."""
+def _mask(k: int, s: int) -> np.ndarray:
+    """The read-only boolean mask over m mod k^s of (m, k^s)_s = 1, index 0
+    standing for m = k^s."""
     import numpy as np
 
     fac = factorize(k)
@@ -132,123 +111,86 @@ def _direct_context(k: int, s: int) -> _DirectContext:
         mask[:: p**s] = False
     if np.count_nonzero(mask) != jordan_totient(s, fac):
         raise InternalConsistencyError(f"s-coprime residue count mismatch for k={k}, s={s}")
-    return _DirectContext(mask)
+    mask.flags.writeable = False
+    return mask
 
 
-def _root_sum(mask: np.ndarray, r: int) -> complex:
-    """The sum of e(r i / K) over the set entries i of mask, K = mask.size,
-    from 4B cosines and sines, B = isqrt(K-1) + 1, instead of two per term.
+def _root_value(a: np.ndarray, what: str) -> int:
+    """The integer v = a(zeta_M) for a = sum_r a_r x^r in Z[x]/(x^M - 1),
+    M = a.size, zeta_M = e(1/M), or InternalConsistencyError naming what when
+    a(zeta_M) is no integer.  a's integer dtype must hold max|a_r| 2^w, w =
+    omega(M) the number of primes q | M.
 
-    Write i = a B + b with a, b < B (B^2 >= K).  Then e(r i / K) is the row
-    root e(((r B mod K) a mod K) / K) times the column root e((r b mod K) / K),
-    both angle integers reduced mod K exactly; every intermediate is below
-    K B, under 2^63 for any K whose mask fits in memory.  The mask,
-    zero-padded to a B x B grid (at most one row past ceil(K/B)), times the
-    column roots gives each row's sum R_a = C_a + i S_a in one matrix
-    product, and one 2 x 2 product of the row roots [cos; sin] with [C, S]
-    gives the four dot products cC, cS, sC and sS; the real part is cC - sS
-    and the imaginary part sC + cS.
-
-    Rounding, to first order in u = 2^-53 (Higham, ch. 3 and 4), for J set
-    entries, n_a of them in row a.  A root's angle 2 pi t / K is computed
-    from pi, a division and a product, so it is off by less than 3u 2pi <
-    19u; with np.cos and np.sin each within 2u, a computed root is within
-    d = 22u of the true one.  The real part, and alike the imaginary part,
-    is then off by at most
-      d J        from the column roots, each times a root of modulus 1;
-      (B-1) u J  from the row sums: a sum of B terms in any order errs by
-                 (B-1) u sum|terms|, and with f the row angle and g a column
-                 angle, |cos f| |cos g| + |sin f| |sin g| <= 1;
-      d J        from the row roots, since |R_a| <= n_a;
-      B u J      from the two dot products of B terms: each errs by at most
-                 B u sum|terms| in any order, and for each a the terms of
-                 the pair add up to |c_a| |C_a| + |s_a| |S_a| <= |R_a| <= n_a;
-      u J        from the final add or subtract.
-    In all, with the higher-order terms, within (2B + 48) u J of the exact sum.
+    Let P = prod_{q | M} (x^(M/q) - 1) and b = a P mod x^M - 1, one slice
+    shift and subtract per prime.  Q[x]/(x^M - 1) is the product of the
+    fields Q(zeta_d), d | M, by x -> zeta_d.  P vanishes at every zeta_d with
+    d < M, since such a d divides some M/q, and not at zeta_M, whose order M
+    divides no M/q.  So for an integer v, (a - v) P = 0 exactly when
+    a(zeta_M) = v, and b = v P decides it.  The constant term of P is
+    (-1)^w: no nonempty sum of distinct M/q is 0 mod M, since the sum of 1/q
+    over a nonempty set of primes is no integer (each q divides the
+    numerator of every term over the common denominator but its own).  So
+    the one candidate is v = (-1)^w b_0.  The same argument for two sets of
+    primes puts the 2^w terms of P at distinct exponents, so b = v P when b
+    holds v times P's coefficient at each of them and no other nonzero.
     """
     import numpy as np
 
-    K = mask.size
-    B = math.isqrt(K - 1) + 1
-    ang = (2.0 * np.pi / K) * (np.array([[r], [r * B % K]]) * np.arange(B) % K)
-    # rows: cos of the column roots, cos of the row roots, then sin of each
-    E = np.concatenate([np.cos(ang), np.sin(ang)])
-    grid = np.empty(B * B)
-    grid[:K] = mask
-    grid[K:] = 0.0
-    rows = E[::2] @ grid.reshape(B, B).T
-    (cC, cS), (sC, sS) = (E[1::2] @ rows.T).tolist()
-    return complex(cC - sS, sC + cS)
+    M = a.size
+    terms = {0: 1}  # P's exponents and coefficients, built with b
+    b = a
+    for q, _ in factorize(M).factors:  # times x^t - 1: b_i becomes b_(i-t mod M) - b_i
+        t = M // q
+        c = np.empty_like(b)
+        np.subtract(b[M - t :], b[:t], out=c[:t])
+        np.subtract(b[: M - t], b[t:], out=c[t:])
+        b = c
+        terms = {**{(e + t) % M: f for e, f in terms.items()}, **{e: -f for e, f in terms.items()}}
+    v = terms[0] * int(b[0])
+    if np.count_nonzero(b) != len(terms) * (v != 0) or b[list(terms)].tolist() != [v * f for f in terms.values()]:
+        raise InternalConsistencyError(f"the sum of roots of unity over {what} is not an integer")
+    return v
 
 
-def _spectrum(k: int, s: int, mask: np.ndarray) -> np.ndarray:
-    """Real part of the rfft of the s-coprime mask mod K = k^s, bins 0..K//2.
+@lru_cache(maxsize=1 << 12)
+def _root_class(k: int, s: int, g: int) -> int:
+    """c_k^(s)(j) for gcd(j, k^s) = g: the sum of e(j m / K) over the
+    s-coprime m mod K = k^s, exactly.
 
-    The residue set is closed under m -> -m, so c_k^(s) is real and even and
-    bin r holds c_k^(s)(r) = c_k^(s)(K - r).  Bin 0 must equal J_s(k) and
-    every imaginary part vanish to within the FFT's rounding bound
-    u log2(K) sqrt(K) ||mask||_2 (Higham, ch. 24), with ||mask||_2 = sqrt(J_s(k)).
+    With j = g u, u a unit mod M = K/g, e(j m / K) = e(u m / M).  So the sum
+    is the image of a(zeta_M), a the mask folded mod M, under the
+    automorphism zeta_M -> zeta_M^u of Q(zeta_M), and that image is a(zeta_M)
+    itself once _root_value finds it an integer.
     """
     import numpy as np
 
-    X = np.fft.rfft(mask)
-    K, J = mask.size, np.count_nonzero(mask)
-    bound = 2.0**-52 * math.log2(K) * math.sqrt(K) * math.sqrt(J)
-    err = max(abs(X[0] - J), float(np.abs(X.imag).max()))
-    if err > bound:
-        raise InternalConsistencyError(f"spectrum of k={k}, s={s} is off by {err:.3e}, past its bound {bound:.3e}")
-    spec = X.real.copy()
-    spec.flags.writeable = False
-    return spec
+    mask = _mask(k, s)
+    M = mask.size // g
+    # the fold's entries are at most g, and omega(M) <= omega(k); the smallest
+    # type faults in the fewest fresh pages, which dominate a cold call
+    dtype = np.min_scalar_type(-(g << len(factorize(k).factors)) - 1)
+    a = mask.reshape(g, M).sum(axis=0, dtype=dtype)
+    return _root_value(a, f"the s-coprime residues of k={k}, s={s} in gcd class {g}")
 
 
-def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> complex:
-    """c_k^(s)(j) summed over the unit circle.
-
-    The first call for a (k, s) adds its J_s(k) roots of unity from about
-    4 sqrt(k^s) cosines and sines (see _root_sum), within (2B + 48) 2^-53
-    J_s(k) of the exact sum in each part, B = isqrt(k^s - 1) + 1.  A later
-    call while its mask is among the four most recent reads one bin of the
-    real FFT spectrum of the s-coprime indicator, which that call builds
-    once and keeps in ramsum.store; every call for a kept key is one array
-    read.  Refuses once k^s exceeds cap rather than silently truncating the
-    range.
+def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> int:
+    """c_k^(s)(j) summed exactly over the unit circle: the roots of unity at
+    the s-coprime residues mod k^s, one cached integer per gcd(j, k^s) (see
+    _root_class).  Refuses once k^s exceeds cap rather than silently
+    truncating the range.
     """
     K = _period(k, s, cap, "direct summation")
-    r = j % K
-    spec = _kept.get((k, s))
-    if spec is None:
-        ctx = _direct_context(k, s)
-        if ctx.cold:
-            ctx.cold = False
-            return _root_sum(ctx.mask, r)
-        spec = _spectrum(k, s, ctx.mask)
-        store.keep("spectrum", (k, s), spec, spec.nbytes)
-    return complex(spec.item(min(r, K - r)))
+    return _root_class(k, s, math.gcd(j, K))
 
 
 def csum_eval(k: int, j: int, s: int = 1, method: str = "moebius", cap: int = DEFAULT_CAP) -> CsumEvaluation:
-    """Evaluate one sum by the named route; the direct route is rounded to the
-    nearest integer and cross-checked against its own residual."""
+    """Evaluate one sum by the named route."""
     if method == "moebius":
         return CsumEvaluation(k, s, j, csum_moebius(k, j, s), method)
     if method == "hoelder":
         return CsumEvaluation(k, s, j, csum_hoelder(k, j, s), method)
     if method == "direct":
-        z = csum_direct(k, j, s, cap)
-        v = round(z.real)
-        residual = max(abs(z.real - v), abs(z.imag))
-        if residual >= 0.5:
-            raise InternalConsistencyError(
-                f"direct sum for (k={k}, j={j}, s={s}) is not near an integer: {z}"
-            )
-        if residual > 1e-6:
-            warnings.warn(
-                f"direct sum residual {residual:.3e} for (k={k}, j={j}, s={s})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return CsumEvaluation(k, s, j, v, method)
+        return CsumEvaluation(k, s, j, csum_direct(k, j, s, cap), method)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -382,5 +324,4 @@ def theta(k: int, n: int, s: int = 1) -> int:
 
     Equals the normalized exponential average (1/k^s) sum_j e(jn/k^s) c_k^(s)(j).
     """
-    _check_args(k, s)
     return 1 if gen_gcd(n, k, s) == 1 else 0

@@ -37,7 +37,7 @@ def binomial(n: int, k: int) -> int:
 
 _bern: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 _bern_lock = threading.Lock()
-_kept = store.kept["row"]  # the Bernoulli rows, by n
+_kept = store.kept  # the Bernoulli rows, by n
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -154,7 +154,7 @@ def _bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
         b = bs[i]
         a[i] = c * b.numerator * (D // b.denominator)
     row = tuple(a), D
-    store.keep("row", n, row, sum(map(sys.getsizeof, a)))
+    store.keep(n, row, sum(map(sys.getsizeof, a)))
     return row
 
 

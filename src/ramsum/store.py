@@ -1,45 +1,44 @@
-"""One byte budget, BUDGET, for the direct route's FFT spectra, by (k, s), and
-the integer Bernoulli rows, by n.  keep() evicts the oldest-built values of any
-kind while the kept bytes pass BUDGET; a value larger than BUDGET is kept alone
-in one slot outside that total until the next such value takes it."""
+"""One byte budget, BUDGET, for the integer Bernoulli rows, by n.  keep()
+evicts the oldest-built rows while the kept bytes pass BUDGET; a row larger
+than BUDGET is kept alone in one slot outside that total until the next such
+row takes it."""
 
 import threading
 
 BUDGET = 1 << 23
 
-# each kind's values by key, read with one dict.get and added to only by keep
-kept: dict[str, dict] = {"spectrum": {}, "row": {}}
-_built: dict[tuple, int] = {}  # (kind, key) -> bytes, oldest built first
+kept: dict = {}  # the rows by n, read with one dict.get and added to only by keep
+_built: dict = {}  # n -> bytes of the rows within the budget, oldest built first
 _nbytes = 0
-_oversize: tuple | None = None  # the (kind, key) in the oversize slot
+_oversize = None  # the n in the oversize slot
 _lock = threading.Lock()  # taken by keep and clear; a read takes none
 
 
-def keep(kind: str, key, value, nbytes: int) -> None:
-    """Keep value, of nbytes bytes, under key in kept[kind] unless one is
-    kept there already."""
+def keep(key, value, nbytes: int) -> None:
+    """Keep value, of nbytes bytes, under key in kept unless one is kept
+    there already."""
     global _nbytes, _oversize
     with _lock:
-        if key in kept[kind]:
+        if key in kept:
             return
         if nbytes > BUDGET:
-            if _oversize:
-                del kept[_oversize[0]][_oversize[1]]
-            _oversize = kind, key
+            if _oversize is not None:
+                del kept[_oversize]
+            _oversize = key
         else:
-            _built[kind, key] = nbytes
+            _built[key] = nbytes
             _nbytes += nbytes
             while _nbytes > BUDGET:
                 old = next(iter(_built))
                 _nbytes -= _built.pop(old)
-                del kept[old[0]][old[1]]
-        kept[kind][key] = value
+                del kept[old]
+        kept[key] = value
 
 
 def clear() -> None:
     """Forget every kept value."""
     global _nbytes, _oversize
     with _lock:
-        for values in (*kept.values(), _built):
-            values.clear()
+        kept.clear()
+        _built.clear()
         _nbytes, _oversize = 0, None

@@ -20,14 +20,16 @@ hypothesis.settings.load_profile("suite")
 
 @pytest.fixture
 def cleared(monkeypatch):
-    """Empty ramsum.store and the direct route's mask window before the test,
-    after it and at each call of the returned function; a call given a byte
-    count also sets the store's budget to it for the rest of the test."""
+    """Empty ramsum.store and the direct route's mask window and class memo
+    before the test, after it and at each call of the returned function; a
+    call given a byte count also sets the store's budget to it for the rest
+    of the test."""
     from ramsum import csum, store
 
     def clear(budget=None):
         store.clear()
-        csum._direct_context.cache_clear()
+        csum._mask.cache_clear()
+        csum._root_class.cache_clear()
         if budget is not None:
             monkeypatch.setattr(store, "BUDGET", budget)
 
@@ -44,3 +46,18 @@ def broken_moebius_route(monkeypatch):
 
     real = csum._moebius_value
     monkeypatch.setattr(csum, "_moebius_value", lambda k, s, g: real(k, s, g) + (s >= 2 and g == 1))
+
+
+@pytest.fixture
+def mutant_mask(monkeypatch, cleared):
+    """The direct route reads the mask of (30, 2) with entry 1 (set) and entry
+    4 (unset) swapped: its count still passes _mask's check."""
+    from functools import lru_cache
+
+    from ramsum import csum
+
+    mask = csum._mask(30, 2).copy()
+    mask[[1, 4]] = mask[[4, 1]]
+    mask.flags.writeable = False
+    cleared()
+    monkeypatch.setattr(csum, "_mask", lru_cache(lambda k, s: mask))

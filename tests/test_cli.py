@@ -11,12 +11,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ramsum import identities
 from ramsum.cli import main
-from ramsum.errors import CEILING_DIGITS, InternalConsistencyError
+from ramsum.errors import CEILING_DIGITS
 
 
 def run_main(capsys, *argv):
@@ -491,26 +490,15 @@ class TestGridSize:
 
 
 class TestInternalError:
-    def test_spectrum_past_its_bound_is_exit_3(self, capsys, monkeypatch, cleared):
-        from ramsum import csum
-
-        rfft = np.fft.rfft
-
-        def perturbed(x):
-            X = rfft(x)
-            X[1] += 1e-6j
-            return X
-
-        monkeypatch.setattr(np.fft, "rfft", perturbed)
-        csum.csum_direct(97, 3)  # cold: summed from row and column roots
-        with pytest.raises(InternalConsistencyError):
-            csum.csum_direct(97, 4)  # reused: builds the spectrum
-        argv = ("eval", "csum", "--k", "101", "--j", "5", "--method", "direct")
-        assert run_main(capsys, *argv)[0] == 0
+    @pytest.mark.usefixtures("mutant_mask")
+    def test_mutant_mask_is_exit_3(self, capsys):
+        argv = ("eval", "csum", "--k", "30", "--j", "7", "--s", "2", "--method", "direct")
         code, out, err = run_main(capsys, *argv)
         assert code == 3 and out == ""
-        assert err.startswith("ramsum: internal error: spectrum of k=101, s=1")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == (
+            "ramsum: internal error: the sum of roots of unity over the s-coprime residues of k=30, s=2"
+            " in gcd class 1 is not an integer\n"
+        )
 
 
 class TestTable:
@@ -840,6 +828,34 @@ def test_verify_rejects_out_of_range_ints(capsys, flag, value):
     assert f"argument {flag}:" in err
 
 
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("eval", "csum", "--k", "1_0", "--j", "3"), "--k"),
+        (("eval", "csum", "--k", "\u0661\u0662", "--j", "3"), "--k"),
+        (("eval", "csum", "--k", "6", "--j", "+3"), "--j"),
+        (("eval", "csum", "--k", "6", "--j", "3", "--s", " 2"), "--s"),
+        (("eval", "jordan", "--n", "+6"), "--n"),
+        (("eval", "gengcd", "--j", "4", "--k", "6", "--s", "+2"), "--s"),
+        (("eval", "theta", "--k", "4", "--n", "\u0663"), "--n"),
+        (("eval", "bernoulli", "--m", "1_2"), "--m"),
+        (("table", "--k", "6", "--cap", "1_000"), "--cap"),
+        (("verify", "alkan", "--k-max", "1_0"), "--k-max"),
+        (("verify", "alkan", "--seed", "+91"), "--seed"),
+    ],
+)
+def test_int_flags_take_ascii_digits_only(capsys, argv, flag):
+    # one digits rule for every int flag, as for --ks and the weight tokens:
+    # int() alone would read 1_0, +3, a space and other scripts' digits
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert f"argument {flag}: invalid int value: {argv[argv.index(flag) + 1]!r}" in err
+    assert "Traceback" not in err
+
+
 def test_census_script_rejects_s_max_1(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "log_weight_census.py"
     out = subprocess.run(
@@ -937,6 +953,14 @@ class TestSubprocessInvocation:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == f"0 False {loads}"
+
+    def test_direct_route_loads_no_fft(self):
+        # the direct route sums in integers: numpy.fft stays unloaded
+        argv = ["eval", "csum", "--k", "1000", "--s", "2", "--j", "7", "--method", "direct"]
+        code = f"import sys, ramsum.cli\nrc = ramsum.cli.main({argv!r})\nprint(rc, 'numpy.fft' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["0", "0 False"]
 
     def test_import_leaves_out_the_process_pool(self):
         # concurrent.futures is imported only by a run_suite with jobs > 1

@@ -9,13 +9,14 @@ import cmath
 import math
 import random
 import time
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsum import csum, store
+from ramsum import csum
 from ramsum.arith import divisors, factorize, gen_gcd, jordan_totient, moebius
 from ramsum.csum import (
     CsumEvaluation,
@@ -198,18 +199,11 @@ class TestEvaluationRecord:
         for method in ("moebius", "hoelder"):
             assert type(csum_eval(36, 7, 2, method).value) is int
         cold = csum_eval(36, 7, 2, "direct")
-        csum_eval(36, 8, 2, "direct")
-        assert (36, 2) in csum._kept
-        kept = csum_eval(36, 9, 2, "direct")
+        kept = csum_eval(36, 11, 2, "direct")  # the same gcd class, read from its memo
+        assert csum._root_class.cache_info().hits == 1
         assert type(cold.value) is int and type(kept.value) is int
-        assert (cold.value, kept.value) == (csum_moebius(36, 7, 2), csum_moebius(36, 9, 2))
-
-    def test_direct_sum_is_complex_on_both_paths(self, cleared):
-        cold = csum_direct(36, 7, 2)
-        assert (36, 2) not in csum._kept
-        built = csum_direct(36, 8, 2)
-        kept = csum_direct(36, 9, 2)
-        assert [type(z) for z in (cold, built, kept)] == [complex] * 3
+        assert type(csum_direct(36, 9, 2)) is int
+        assert (cold.value, kept.value) == (csum_moebius(36, 7, 2), csum_moebius(36, 11, 2))
 
     def test_routes_are_read_from_the_module_at_call_time(self, monkeypatch):
         """perfbench's tracer wraps the module globals: csum_eval must look
@@ -264,15 +258,16 @@ def fsum_oracle(k, j, s):
     return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
 
 
-# k = 1, two prime periods (FFT sizes without small factors), 120^2 and 46^3
+# k = 1, two prime periods, 120^2 and 46^3
 SPECTRUM_PERIODS = [(1, 1), (97, 1), (101, 1), (120, 2), (46, 3)]
 DIRECT_TOL = 1e-8
 
 
 class TestDirectSpectrum:
-    """The first call for a (k, s) is summed as row roots times column roots;
-    later calls read one real FFT spectrum.  Both must give every j of the
-    period."""
+    """The direct route's values over one period are the spectrum of the
+    s-coprime mask, its discrete Fourier transform: each must be the exact
+    integer at every j, whether its gcd class is summed cold or read from its
+    memo."""
 
     @pytest.mark.parametrize("k, s", SPECTRUM_PERIODS)
     def test_every_j_cold_and_spectrum(self, k, s, cleared):
@@ -287,111 +282,46 @@ class TestDirectSpectrum:
         for i in cold:
             cleared()
             z = csum_direct(k, js[i], s)
-            assert (k, s) not in csum._kept
-            assert abs(z - exact[i]) < DIRECT_TOL, (k, s, js[i])
+            assert type(z) is int and z == exact[i], (k, s, js[i])
         for i, j in enumerate(js):
             z = csum_direct(k, j, s)
-            assert z.imag == 0.0
-            assert abs(z.real - exact[i]) < DIRECT_TOL, (k, s, j)
-        assert (k, s) in csum._kept
+            assert type(z) is int and z == exact[i], (k, s, j)
         # the oracle sums in pure Python, one math.cos and math.sin per term
         for j in ([*js[:K], *far] if K <= 101 else [0, 1, K - 1, *far[:2]]):
             assert abs(fsum_oracle(k, j, s) - csum_moebius(k, j, s)) < DIRECT_TOL, (k, s, j)
 
-    def test_spectrum_is_built_on_the_second_call(self, cleared):
-        csum_direct(30, 7, 2)
-        assert (30, 2) not in csum._kept
-        csum_direct(30, 8, 2)
-        built = csum._kept[30, 2]
-        assert built.shape == (900 // 2 + 1,) and not built.flags.writeable
-        csum_direct(30, 9, 2)
-        assert csum._kept[30, 2] is built
+    def test_one_sum_per_gcd_class(self, cleared):
+        for j in range(-900, 1800):
+            csum_direct(30, j, 2)
+        assert csum._root_class.cache_info().currsize == len(divisors(factorize(900))) == 27
+        assert csum._mask.cache_info().misses == 1
 
-    def test_perturbed_spectrum_is_refused(self, monkeypatch, cleared):
-        rfft = np.fft.rfft
-
-        def perturbed(x):
-            X = rfft(x)
-            X[0] += 1e-6
-            return X
-
-        monkeypatch.setattr(np.fft, "rfft", perturbed)
-        csum_direct(120, 1, 2)
-        with pytest.raises(InternalConsistencyError, match="past its bound"):
-            csum_direct(120, 2, 2)
-        assert csum._kept == {} and store._nbytes == 0
-        monkeypatch.undo()
-        assert abs(csum_direct(120, 3, 2) - csum_moebius(120, 3, 2)) < DIRECT_TOL
-        assert list(csum._kept) == [(120, 2)]
+    @pytest.mark.usefixtures("mutant_mask")
+    def test_perturbed_spectrum_is_refused(self):
+        # the swapped mask is no union of unit orbits, so its sum at a j
+        # coprime to k^s is an algebraic number that is no integer
+        with pytest.raises(InternalConsistencyError, match=r"k=30, s=2 in gcd class 1 is not an integer"):
+            csum_direct(30, 7, 2)
+        assert csum._root_class.cache_info().currsize == 0
 
 
 @pytest.mark.usefixtures("cleared")
 class TestSpectrumStore:
-    """A built spectrum is kept in ramsum.store past its mask, oldest built
-    evicted first once the kept bytes pass store.BUDGET; one larger than that
-    budget is kept alone until the next such one is built."""
-
-    def assert_within_budget(self):
-        budgeted = {key: v.nbytes for key, v in csum._kept.items() if ("spectrum", key) != store._oversize}
-        assert store._nbytes == sum(budgeted.values()) <= store.BUDGET
+    """The period's values, its mask's spectrum, are kept one integer per gcd
+    class in _root_class's memo, past the four-key window of masks."""
 
     def test_spectrum_outlives_its_context(self, monkeypatch):
-        csum_direct(30, 1, 2)
-        csum_direct(30, 2, 2)
-        for k in (2, 3, 5, 7):  # four other keys push (30, 2) out of the contexts
+        for j in range(900):
+            csum_direct(30, j, 2)
+        for k in (2, 3, 5, 7):  # four other keys push (30, 2) out of the mask window
             csum_direct(k, 1, 2)
 
-        def refused(x):
-            raise AssertionError("a kept spectrum was transformed again")
+        def refused(k, s):
+            raise AssertionError(f"the mask of ({k}, {s}) was built again")
 
-        monkeypatch.setattr(np.fft, "rfft", refused)
-        for j in range(900):
-            assert abs(csum_direct(30, j, 2) - csum_moebius(30, j, 2)) < DIRECT_TOL, j
-
-    def test_third_spectrum_evicts_the_oldest_built(self, cleared):
-        keys = [(100, 1), (101, 1), (10, 2)]  # 51 bins each
-        cleared(2 * 51 * 8)
-        for i, (k, s) in enumerate(keys):
-            csum_direct(k, 1, s)
-            csum_direct(k, 2, s)
-            self.assert_within_budget()
-            assert list(csum._kept) == keys[max(0, i - 1) : i + 1]
-
-    def test_oversize_spectrum_is_answered_not_kept(self, cleared):
-        # answered, and not kept within the budget: the budgeted spectrum stays
-        cleared(51 * 8)
-        csum_direct(100, 1)
-        csum_direct(100, 2)
-        kept = csum._kept[100, 1]
-        for j in range(900):  # 451 bins, past the budget
-            assert abs(csum_direct(30, j, 2) - csum_moebius(30, j, 2)) < DIRECT_TOL, j
-        assert csum._kept[100, 1] is kept and store._oversize == ("spectrum", (30, 2))
-        assert list(store._built) == [("spectrum", (100, 1))]
-        self.assert_within_budget()
-
-    def test_newest_oversize_spectrum_is_kept_alone(self, monkeypatch, cleared):
-        cleared(51 * 8)
-        rfft = np.fft.rfft
-        sizes = []
-
-        def counted(x):
-            sizes.append(x.size)
-            return rfft(x)
-
-        monkeypatch.setattr(np.fft, "rfft", counted)
-        for j in range(900):  # 451 bins, past the budget
-            assert abs(csum_direct(30, j, 2) - csum_moebius(30, j, 2)) < DIRECT_TOL, j
-        assert sizes == [900]
-        assert store._oversize == ("spectrum", (30, 2)) and list(csum._kept) == [(30, 2)]
-        for j in range(400):  # 201 bins, also past it: takes the slot
-            assert abs(csum_direct(20, j, 2) - csum_moebius(20, j, 2)) < DIRECT_TOL, j
-        assert sizes == [900, 400]
-        assert store._oversize == ("spectrum", (20, 2)) and list(csum._kept) == [(20, 2)]
-        csum_direct(30, 1, 2)  # its mask is still cached, its spectrum is gone
-        assert sizes == [900, 400, 900] and store._oversize == ("spectrum", (30, 2))
-        self.assert_within_budget()
-        store.clear()
-        assert store._oversize is None and csum._kept == {}
+        monkeypatch.setattr(csum, "_mask", lru_cache(refused))
+        for j in range(-900, 900):
+            assert csum_direct(30, j, 2) == csum_moebius(30, j, 2), j
 
 
 # the largest prime period and the largest square the default cap admits, and
@@ -399,74 +329,81 @@ class TestSpectrumStore:
 LARGE_PERIODS = [(999983, 1), (1000, 2), (99991, 1), (316, 2), (46, 3)]
 
 
-def root_sum_bound(k, s):
-    """(B + 48) u J_s(k) with B = isqrt(k^s - 1) + 1: a pinned tolerance on
-    each part of a cold direct sum, tighter than the (2B + 48) u J_s(k) that
-    csum._root_sum derives."""
-    return (math.isqrt(k**s - 1) + 1 + 48) * 2.0**-53 * jordan_totient(s, factorize(k))
+class Watched(np.ndarray):
+    """An array that records the name of every numpy ufunc applied to it, or
+    to an array computed from it, in Watched.seen."""
+
+    seen: set = set()
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        Watched.seen.add(ufunc.__name__)
+        plain = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, Watched) else x for x in kwargs["out"])
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        return out.view(Watched) if isinstance(out, np.ndarray) else out
 
 
 @pytest.mark.usefixtures("cleared")
 class TestRootSum:
-    """A cold call sums the roots of unity as row roots times column roots:
-    about 4 sqrt(K) cosines and sines, within the bound its docstring derives."""
+    """The direct route sums the roots of unity exactly, one integer per gcd
+    class (csum._root_class, by csum._root_value)."""
 
-    def test_trig_work_is_about_four_root_k(self, monkeypatch):
-        args = {"cos": 0, "sin": 0}
+    def test_calls_no_trig_fft_or_matrix_product(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the direct route called a float kernel")
 
-        def counting(name):
-            real = getattr(np, name)
-
-            def wrapper(x, *rest, **kw):
-                args[name] += np.size(x)
-                return real(x, *rest, **kw)
-
-            return wrapper
-
-        def refused(x):
-            raise AssertionError("a cold call built a spectrum")
-
-        for name in args:
-            monkeypatch.setattr(np, name, counting(name))
-        monkeypatch.setattr(np.fft, "rfft", refused)
-        for k, s in [(99991, 1), (316, 2)]:
-            K = k**s
-            before = sum(args.values())
-            csum_direct(k, 12345, s)
-            assert 0 < sum(args.values()) - before <= 4 * math.isqrt(K) + 8, (k, s, args)
+        for name in ("cos", "sin", "exp", "dot", "matmul", "einsum"):
+            monkeypatch.setattr(np, name, refused)
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, refused)
+        real = csum._mask
+        monkeypatch.setattr(csum, "_mask", lru_cache(lambda k, s: real(k, s).view(Watched)))
+        Watched.seen = set()
+        for k, s in [(99991, 1), (316, 2), (46, 3), (30, 2)]:
+            for j in (0, 1, 6, 12345, 2**64 + 1):
+                assert csum_direct(k, j, s) == csum_moebius(k, j, s), (k, s, j)
+        # summing the fold, and one shift and subtract per prime
+        assert Watched.seen == {"add", "subtract"}
 
     @pytest.mark.parametrize("k, s", LARGE_PERIODS)
-    def test_cold_sum_within_its_bound(self, k, s):
-        K, bound = k**s, root_sum_bound(k, s)
-        for j in (0, 1, K // 2, K - 1, 2**64 + 1):
-            csum._direct_context(k, s).cold = True
-            z = csum_direct(k, j, s)
-            assert (k, s) not in csum._kept
-            assert abs(z.real - csum_moebius(k, j, s)) <= bound, (k, s, j)
-            assert abs(z.imag) <= bound, (k, s, j)
+    def test_cold_sum_within_its_bound(self, k, s, cleared):
+        # the bound is now 0: the cold sum of every gcd class is exact
+        for g in divisors(factorize(k**s)):
+            cleared()
+            z = csum_direct(k, g, s)
+            assert type(z) is int and z == csum_moebius(k, g, s), (k, s, g)
 
     def test_agrees_with_the_term_by_term_oracle(self, cleared):
         # a prime period, and the square and cube periods point-scatter sums cold
         for k, s in [(99991, 1), (316, 2), (46, 3)]:
             for j in (3, 2**64 + 1):
                 cleared()
-                assert abs(csum_direct(k, j, s) - fsum_oracle(k, j, s)) <= root_sum_bound(k, s), (k, s, j)
+                assert abs(csum_direct(k, j, s) - fsum_oracle(k, j, s)) < DIRECT_TOL, (k, s, j)
 
-    @pytest.mark.parametrize("k, s", [(999983, 1), (1000, 2)])
-    def test_derived_bound_is_below_the_warning_level(self, k, s):
-        # csum_eval warns past a 1e-6 residual; the worst case at the default cap stays under it
-        assert k**s <= csum.DEFAULT_CAP
-        derived = (2 * (math.isqrt(k**s - 1) + 1) + 48) * 2.0**-53 * jordan_totient(s, factorize(k))
-        assert root_sum_bound(k, s) < derived < 1e-6
+    def test_units_give_moebius(self):
+        # the units mod M sum to Ramanujan's c_M(1) = mu(M)
+        for M in range(1, 301):
+            units = np.array([math.gcd(r, M) == 1 for r in range(M)], dtype=np.int64)
+            assert csum._root_value(units, f"the units mod {M}") == moebius(factorize(M)), M
+
+    @pytest.mark.parametrize("M", [3, 4, 5, 6, 12, 30, 97, 900])
+    def test_lone_root_is_refused(self, M):
+        # e(1/M) is an integer only for M = 1 and 2
+        root = np.zeros(M, dtype=np.int64)
+        root[1] = 1
+        with pytest.raises(InternalConsistencyError, match=f"over one root mod {M} is not an integer"):
+            csum._root_value(root, f"one root mod {M}")
 
 
 class TestDirectMask:
-    """The direct route keeps one boolean mask per (k, s): the support of theta."""
+    """The direct route keeps one read-only boolean mask per (k, s): the
+    support of theta."""
 
     @pytest.mark.parametrize("k, s", SPECTRUM_PERIODS)
     def test_mask_is_theta(self, k, s):
-        mask = csum._direct_context(k, s).mask
-        assert mask.dtype == bool and mask.shape == (k**s,)
+        mask = csum._mask(k, s)
+        assert mask.dtype == bool and mask.shape == (k**s,) and not mask.flags.writeable
         assert mask.tolist() == [theta(k, m, s) == 1 for m in range(k**s)]
 
     def test_count_mismatch_is_an_internal_error(self, monkeypatch, capsys, cleared):

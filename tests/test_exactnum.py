@@ -193,12 +193,12 @@ class TestBernoulliRow:
         cleared(3 * sum(map(sys.getsizeof, exactnum._bernoulli_row(60)[0])))
         for n in range(40, 81):
             assert exactnum._bernoulli_row(n) == exactnum._bernoulli_row(n)
-        kept = store.kept["row"]
+        kept = store.kept
         assert 80 in kept and 40 not in kept and len(kept) < 10
         nbytes = sum(sum(map(sys.getsizeof, a)) for a, _ in kept.values())
         assert store._nbytes == nbytes <= store.BUDGET
         exactnum._bernoulli_row(400)
-        assert store._oversize == ("row", 400) and ("row", 400) not in store._built
+        assert store._oversize == 400 and 400 not in store._built
         assert 80 in kept and store._nbytes == nbytes
 
 

@@ -1,113 +1,71 @@
-"""ramsum.store: one byte budget over the direct route's FFT spectra and the
-Bernoulli rows, the oldest-built value of either kind evicted first, and one
-oversize slot for a value larger than the whole budget.
+"""ramsum.store: one byte budget over the Bernoulli rows, the oldest-built row
+evicted first, and one oversize slot for a row larger than the whole budget.
 
-Spectra of (100, 1), (101, 1) and (10, 2) have 51 bins, 408 bytes each;
-(97, 1) has 49, 392 bytes.  Row n holds n + 1 ints, row 10 308 bytes.
+Row n holds n + 1 ints: row 10 takes 308 bytes, row 20 624 and row 30 940.
 """
 
 import sys
 import threading
 
-import numpy as np
-
 from ramsum import exactnum, store
-from ramsum.csum import csum_direct, csum_moebius
 
-SPECTRA, ROWS = store.kept["spectrum"], store.kept["row"]
-DIRECT_TOL = 1e-8
+ROWS = store.kept
 
 
-def build(kind, key):
-    """Have the library build and keep one value: a spectrum after its cold
-    call, or a Bernoulli row."""
-    if kind == "spectrum":
-        k, s = key
-        csum_direct(k, 1, s)
-        csum_direct(k, 2, s)
-    else:
-        exactnum._bernoulli_row(key)
-
-
-def size(kind, value):
-    return value.nbytes if kind == "spectrum" else sum(map(sys.getsizeof, value[0]))
+def size(row):
+    return sum(map(sys.getsizeof, row[0]))
 
 
 def assert_exact_total():
-    """The running total is the sum of the sizes of the values kept within the
-    budget, every kept value but the oversize one, and stays within it."""
-    kept = {(kind, key): size(kind, v) for kind, values in store.kept.items() for key, v in values.items()}
-    kept.pop(store._oversize, None)
+    """The running total is the sum of the sizes of the rows kept within the
+    budget, every kept row but the oversize one, and stays within it."""
+    kept = {n: size(row) for n, row in ROWS.items() if n != store._oversize}
     assert store._built == kept
     assert store._nbytes == sum(kept.values()) <= store.BUDGET
 
 
 def test_total_is_exact_after_every_keep(cleared):
-    budget = 3 * 408
+    budget = 3 * 308
     cleared(budget)
     order, sizes = [], {}  # what the store must hold, oldest built first, and its sizes
-    keys = [("spectrum", (100, 1)), ("row", 10), ("spectrum", (101, 1)), ("row", 8), ("spectrum", (10, 2))]
-    keys += [("row", n) for n in (12, 14, 16)] + [("spectrum", (97, 1)), ("row", 4), ("row", 6)]
-    for kind, key in keys:
-        build(kind, key)
-        order.append((kind, key))
-        sizes[kind, key] = size(kind, store.kept[kind][key])
+    ns = (10, 8, 12, 10, 4, 14, 6, 16, 2, 10, 8)
+    for n in ns:
+        row = exactnum._bernoulli_row(n)
+        if n in order:  # still kept: read, not built again
+            assert ROWS[n] is row
+        else:
+            order.append(n)
+            sizes[n] = size(row)
         while sum(map(sizes.get, order)) > budget:
             order.pop(0)
         assert list(store._built) == order
         assert_exact_total()
-    assert len(order) < len(keys)
+    assert len(order) < len(set(ns))
 
 
-def test_spectrum_evicts_the_oldest_row_and_a_row_the_oldest_spectrum(cleared):
-    cleared(2 * 408)
-    build("row", 10)
-    build("spectrum", (100, 1))  # 308 + 408 bytes fit
-    build("spectrum", (101, 1))
-    assert ROWS == {} and list(SPECTRA) == [(100, 1), (101, 1)]
-    build("row", 10)
-    assert list(SPECTRA) == [(101, 1)] and 10 in ROWS
-    assert list(store._built) == [("spectrum", (101, 1)), ("row", 10)]
-    assert_exact_total()
-
-
-def test_one_oversize_slot_for_spectra_and_rows(cleared, monkeypatch):
-    cleared(408)
-    rfft = np.fft.rfft
-    sizes = []
-
-    def counted(x):
-        sizes.append(x.size)
-        return rfft(x)
-
-    monkeypatch.setattr(np.fft, "rfft", counted)
-    build("spectrum", (100, 1))
-    kept = SPECTRA[100, 1]
-    for j in range(900):  # 451 bins, past the budget: answered, and kept alone
-        assert abs(csum_direct(30, j, 2) - csum_moebius(30, j, 2)) < DIRECT_TOL, j
-    assert store._oversize == ("spectrum", (30, 2)) and list(store._built) == [("spectrum", (100, 1))]
-    for j in range(400):  # 201 bins, also past it: takes the slot
-        assert abs(csum_direct(20, j, 2) - csum_moebius(20, j, 2)) < DIRECT_TOL, j
-    assert store._oversize == ("spectrum", (20, 2)) and (30, 2) not in SPECTRA
-    assert exactnum._bernoulli_row(20) is ROWS[20]  # 624 bytes: a row takes it the same way
-    assert store._oversize == ("row", 20) and (20, 2) not in SPECTRA
-    csum_direct(30, 1, 2)  # its mask is still in the window, its spectrum is gone
-    assert store._oversize == ("spectrum", (30, 2)) and 20 not in ROWS
-    assert sizes == [100, 900, 400, 900]
-    assert SPECTRA[100, 1] is kept
+def test_one_oversize_slot(cleared):
+    cleared(2 * 308)
+    exactnum._bernoulli_row(10)
+    row = exactnum._bernoulli_row(20)  # past the budget: kept alone, outside the total
+    assert store._oversize == 20 and list(store._built) == [10]
+    assert exactnum._bernoulli_row(20) is row
+    exactnum._bernoulli_row(30)  # also past it: takes the slot
+    assert store._oversize == 30 and list(ROWS) == [10, 30]
+    exactnum._bernoulli_row(8)  # a budgeted row leaves the slot as it is
+    assert store._oversize == 30 and list(store._built) == [10, 8]
+    assert exactnum._bernoulli_row(20) is not row
+    assert store._oversize == 20 and 30 not in ROWS
     assert_exact_total()
 
 
 def test_clear_forgets_every_kept_value(cleared):
-    cleared(408)
-    build("spectrum", (100, 1))
-    build("row", 10)
-    build("row", 20)
+    cleared(308)
+    exactnum._bernoulli_row(10)
+    exactnum._bernoulli_row(20)
     assert store._nbytes and store._oversize
     store.clear()
-    assert store.kept == {"spectrum": {}, "row": {}}
-    assert (store._built, store._nbytes, store._oversize) == ({}, 0, None)
-    assert SPECTRA is store.kept["spectrum"] and ROWS is store.kept["row"]
+    assert (store.kept, store._built, store._nbytes, store._oversize) == ({}, {}, 0, None)
+    assert ROWS is store.kept is exactnum._kept
 
 
 def test_keeping_from_four_threads_leaves_the_total_exact(cleared):
@@ -121,7 +79,7 @@ def test_keeping_from_four_threads_leaves_the_total_exact(cleared):
             # keys past any real row, with rows of 1 to 7 ints
             n = 10**6 + (i + t) % 500
             a = (1,) * (1 + n % 7)
-            store.keep("row", n, (a, 1), sum(map(sys.getsizeof, a)))
+            store.keep(n, (a, 1), sum(map(sys.getsizeof, a)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
