@@ -34,12 +34,12 @@ GRIDS = (
 )
 FORMATS = ("human", "json", "csv")
 PINNED = {
-    ("default", "human"): "51c79c1aae407a7f291fbc6782b0ef10aba0de4c09e5c2912a13da9789890ac4",
-    ("default", "json"): "06b6b9d8aa5c55780dc05ac91e83a510cc4295bc9a89124950d87cd66a7d3a19",
-    ("default", "csv"): "4aa3e77e301a31eadcdaa19d12bbdf57b6c551bbc2774ea497914b6216f5adfc",
-    ("k-max-120", "human"): "77728176c3968a70a649099389b85ccdf902643ab59a089f1ba93f469763c3da",
-    ("k-max-120", "json"): "6e0f7ef15846e5f7753f1214986f70556918bfc99d2e0a9447524120f0eb5658",
-    ("k-max-120", "csv"): "2f0c769b897f97241cd5629beb7292e47180f68db6c5519d0c6e2a77bc69e610",
+    ("default", "human"): "2b4c91f735d7f1b4771b75701b5d080239e13404ffbeb4c95fb5e492d2c6abb4",
+    ("default", "json"): "828f1c79d631909bcd027c2a6df8f4406e0a86096249f7741729710dcf1e6ada",
+    ("default", "csv"): "e16ea64bbb1dc0f59caff0f1593179bedc95a73a77dcfa17bc3d25098d45cfc9",
+    ("k-max-120", "human"): "1b6f751d77a5ce08bf0d29bf47e0fe036e160d37ee863740a92676ea01d3c146",
+    ("k-max-120", "json"): "3d34fb36f8239d49f50403ff03a8133e0cc307b3bffb12c8d29bec929bfcdf1f",
+    ("k-max-120", "csv"): "9a83165b1c845dad06f5f2d16ccd39a88e51c2d07e30f60788dbf6bfda6d759a",
     ("bernoulli", "human"): "eb89e181ce236fed0231637922edb5969a84b44243410d727e087c67e1a2a242",
     ("bernoulli", "json"): "076f3f168297338fb89b90f62dd7d95e330aa98f55e1415a0f81968d02010c3b",
     ("bernoulli", "csv"): "9887e47bac24b57100fcbce4317f413eb9b6a6d9394a5e6e6a4cb17fe4f4b96c",

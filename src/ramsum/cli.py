@@ -120,7 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(), default=91)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes, at most one per CPU and point")
     p.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    p.add_argument("--tol", type=_tolerance, default=None, help="override floating tolerances")
+    p.add_argument(
+        "--tol",
+        type=_tolerance,
+        default=None,
+        help="override the float tolerance of gamma-weight, gauss-product, binomial-weight and multisection",
+    )
     p.add_argument("--strict-findings", action="store_true", help="treat findings as failures")
     p.add_argument(
         "--cap", type=_int_at_least(1), default=DEFAULT_SWEEP_CAP, help="largest k^s any evaluation may touch"

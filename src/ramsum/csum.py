@@ -115,11 +115,11 @@ def _mask(k: int, s: int) -> np.ndarray:
     return mask
 
 
-def _root_value(a: np.ndarray, what: str) -> int:
-    """The integer v = a(zeta_M) for a = sum_r a_r x^r in Z[x]/(x^M - 1),
-    M = a.size, zeta_M = e(1/M), or InternalConsistencyError naming what when
-    a(zeta_M) is no integer.  a's integer dtype must hold max|a_r| 2^w, w =
-    omega(M) the number of primes q | M.
+def _root_value(period: np.ndarray, g: int, top: int) -> tuple[int, bool]:
+    """(v, a(zeta_M) == v) for a = sum_r a_r x^r in Z[x]/(x^M - 1), the period
+    folded mod M = period.size / g (a_r the sum of its entries at r, r + M,
+    ...), zeta_M = e(1/M) and the one integer candidate v; top bounds the
+    period's |entries|, so the fold's by g top.
 
     Let P = prod_{q | M} (x^(M/q) - 1) and b = a P mod x^M - 1, one slice
     shift and subtract per prime.  Q[x]/(x^M - 1) is the product of the
@@ -127,19 +127,23 @@ def _root_value(a: np.ndarray, what: str) -> int:
     d < M, since such a d divides some M/q, and not at zeta_M, whose order M
     divides no M/q.  So for an integer v, (a - v) P = 0 exactly when
     a(zeta_M) = v, and b = v P decides it.  The constant term of P is
-    (-1)^w: no nonempty sum of distinct M/q is 0 mod M, since the sum of 1/q
-    over a nonempty set of primes is no integer (each q divides the
-    numerator of every term over the common denominator but its own).  So
-    the one candidate is v = (-1)^w b_0.  The same argument for two sets of
-    primes puts the 2^w terms of P at distinct exponents, so b = v P when b
-    holds v times P's coefficient at each of them and no other nonzero.
+    (-1)^w, w = omega(M): no nonempty sum of distinct M/q is 0 mod M, since
+    the sum of 1/q over a nonempty set of primes is no integer (each q
+    divides the numerator of every term over the common denominator but its
+    own).  So the one candidate is v = (-1)^w b_0.  The same argument for two
+    sets of primes puts the 2^w terms of P at distinct exponents, so b = v P
+    when b holds v times P's coefficient at each of them and no other nonzero.
     """
     import numpy as np
 
-    M = a.size
+    M = period.size // g
+    primes = factorize(M).factors
+    # |b_r| <= g top 2^w; the smallest type faults in the fewest fresh pages,
+    # which dominate a cold call, and past int64 it is the object type
+    dtype = np.min_scalar_type(-(g * top << len(primes)) - 1)
+    b = period.reshape(g, M).sum(axis=0, dtype=dtype)
     terms = {0: 1}  # P's exponents and coefficients, built with b
-    b = a
-    for q, _ in factorize(M).factors:  # times x^t - 1: b_i becomes b_(i-t mod M) - b_i
+    for q, _ in primes:  # times x^t - 1: b_i becomes b_(i-t mod M) - b_i
         t = M // q
         c = np.empty_like(b)
         np.subtract(b[M - t :], b[:t], out=c[:t])
@@ -147,9 +151,8 @@ def _root_value(a: np.ndarray, what: str) -> int:
         b = c
         terms = {**{(e + t) % M: f for e, f in terms.items()}, **{e: -f for e, f in terms.items()}}
     v = terms[0] * int(b[0])
-    if np.count_nonzero(b) != len(terms) * (v != 0) or b[list(terms)].tolist() != [v * f for f in terms.values()]:
-        raise InternalConsistencyError(f"the sum of roots of unity over {what} is not an integer")
-    return v
+    exact = np.count_nonzero(b) == len(terms) * (v != 0) and b[list(terms)].tolist() == [v * f for f in terms.values()]
+    return v, exact
 
 
 @lru_cache(maxsize=1 << 12)
@@ -162,15 +165,12 @@ def _root_class(k: int, s: int, g: int) -> int:
     automorphism zeta_M -> zeta_M^u of Q(zeta_M), and that image is a(zeta_M)
     itself once _root_value finds it an integer.
     """
-    import numpy as np
-
-    mask = _mask(k, s)
-    M = mask.size // g
-    # the fold's entries are at most g, and omega(M) <= omega(k); the smallest
-    # type faults in the fewest fresh pages, which dominate a cold call
-    dtype = np.min_scalar_type(-(g << len(factorize(k).factors)) - 1)
-    a = mask.reshape(g, M).sum(axis=0, dtype=dtype)
-    return _root_value(a, f"the s-coprime residues of k={k}, s={s} in gcd class {g}")
+    v, exact = _root_value(_mask(k, s), g, 1)
+    if not exact:
+        raise InternalConsistencyError(
+            f"the sum of roots of unity over the s-coprime residues of k={k}, s={s} in gcd class {g} is not an integer"
+        )
+    return v
 
 
 def csum_direct(k: int, j: int, s: int = 1, cap: int = DEFAULT_CAP) -> int:

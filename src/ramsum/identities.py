@@ -3,7 +3,10 @@
 Each checker computes one left-hand side by literal summation over j, using
 the csum tables, and one right-hand side from the matching closed form, so
 the two sides never share a derivation.  Exact checkers compare canonical
-Fraction or LogLinear values; floating checkers carry explicit tolerances.
+Fraction or LogLinear values; the exponential weight's roots of unity are
+summed exactly too, by the group-ring kernel of csum's direct route.  Only
+the log-Gamma and cosine weights are floats, judged by a tolerance or a
+derived rounding bound.
 The suite runner sweeps parameter grids, optionally in parallel, and renders
 byte-deterministic reports.
 """
@@ -20,10 +23,9 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING
 
 from .arith import divisors, euler_phi, factorize, jordan_totient, moebius_divisors, tau_sigma, von_mangoldt
-from .csum import CsumTable, _digit_budget, _moment_state, _period, csum_moebius, csum_table, theta
+from .csum import CsumTable, _digit_budget, _moment_state, _period, _root_value, csum_moebius, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import (
     _bernoulli_budget,
@@ -38,9 +40,6 @@ from .exactnum import (
 )
 from .logspace import TWO_PI, LogLinear, float_value, legendre_exponents, mu_log_lemma_sides
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_SWEEP_CAP = 100_000
 # the most points one verify run builds, about 30 MB of them: verify all
 # takes 25377 at --k-max 240 and 68941 at --k-max 1000
@@ -52,7 +51,6 @@ _GAUSS_N_MAX = 500
 _MODULI_MAX = 4
 DEFAULT_FLOAT_TOL = 1e-8
 GAUSS_TOL = 1e-9
-COSINE_TOL = 1e-9
 # the unit roundoff of a float, and gamma_3 = 3u/(1 - 3u) for three roundings
 _U = 2.0**-53
 _G3 = 3 * _U / (1 - 3 * _U)
@@ -125,10 +123,11 @@ class CheckResult:
     classification: str
 
 
-def _exact(identity: str, params: dict, lhs, rhs) -> CheckResult:
-    """The result of an exact check whose sides are ints or Fractions; the
-    residual is only computed when they differ."""
-    passed = lhs == rhs
+def _exact(identity: str, params: dict, lhs, rhs, certified: bool = True) -> CheckResult:
+    """The result of an exact check whose sides are ints or Fractions, which
+    passes when they are equal and lhs is certified; the residual is only
+    computed when they differ."""
+    passed = certified and lhs == rhs
     return _result(identity, params, lhs, rhs, 0.0 if passed else abs(float(lhs - rhs)), "exact", passed)
 
 
@@ -425,29 +424,24 @@ def check_multisection(n: int, r: int, tol: float | None = None) -> CheckResult:
     return _result("multisection", {"n": n, "r": r}, lhs, rhs, residual, "float", float_ok)
 
 
-@lru_cache(maxsize=2)
-def _exp_spectrum(table: CsumTable) -> np.ndarray:
-    """X[n] = (1/K) sum_{j<K} c_k^(s)(j) e(jn/K) for n < K = k^s: numpy's inverse
-    FFT of one period table, read-only and shared by every exp-weight point of it."""
-    import numpy as np
-
-    spec = np.fft.ifft(table.array)
-    spec.flags.writeable = False
-    return spec
+@lru_cache(maxsize=64)
+def _exp_class(table: CsumTable, g: int) -> tuple[int, bool]:
+    """(v, certified) of sum_j c_k^(s)(j) e(jn/k^s) at the n with gcd(n, k^s) = g,
+    by _root_value with |entries| <= J_s(k) = table[0]; keyed by the table
+    object, so a table built anew is summed anew."""
+    return _root_value(table.array, g, int(table.array[0]))
 
 
-def check_exp_weight(k: int, s: int, n: int, cap: int = DEFAULT_SWEEP_CAP, tol: float | None = None) -> CheckResult:
-    """(1/k^s) sum_j e(jn/k^s) c_k^(s)(j), read at bin n mod k^s of one
-    inverse FFT of the period, against the indicator theta_k^(s)(n)."""
+def check_exp_weight(k: int, s: int, n: int, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
+    """(1/k^s) sum_j e(jn/k^s) c_k^(s)(j) against the indicator theta_k^(s)(n),
+    exactly: with g = gcd(n, k^s) and n = g u, the sum is the conjugate under
+    zeta -> zeta^u of the table folded mod k^s/g at a primitive root zeta, and
+    an integer is its own conjugate.  A sum that is no integer fails the point."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     K = _period(k, s, cap, "the exponential-weight sum")
-    tol = COSINE_TOL if tol is None else tol
-    lhs = complex(_exp_spectrum(csum_table(k, s, cap))[n % K])
-    rhs = theta(k, n, s)
-    residual = max(abs(lhs.real - rhs), abs(lhs.imag))
-    params = {"k": k, "n": n, "s": s}
-    return _result("exp-weight", params, lhs, rhs, residual, "float", residual <= tol)
+    v, certified = _exp_class(csum_table(k, s, cap), math.gcd(n, K))
+    return _exact("exp-weight", {"k": k, "n": n, "s": s}, Fraction(v, K), theta(k, n, s), certified)
 
 
 def g_divisor_sum(ks, s: int, m: int) -> Fraction:
@@ -756,7 +750,7 @@ _REGISTRY = {
     "bernoulli-weight": (_grid_bernoulli_weight, lambda p, cap, tol: check_bernoulli_weight(**p, cap=cap)),
     "binomial-weight": (_grid_binomial_weight, lambda p, cap, tol: check_binomial_weight(**p, tol=tol)),
     "multisection": (_grid_multisection, lambda p, cap, tol: check_multisection(**p, tol=tol)),
-    "exp-weight": (_grid_exp_weight, lambda p, cap, tol: check_exp_weight(**p, cap=cap, tol=tol)),
+    "exp-weight": (_grid_exp_weight, lambda p, cap, tol: check_exp_weight(**p, cap=cap)),
     "mu-log-lemma": (_grid_mu_log_lemma, lambda p, cap, tol: check_mu_log_lemma(**p)),
     "multivariate": (_grid_multivariate, lambda p, cap, tol: check_multivariate(**p, cap=cap)),
     "g-multiplicative": (_grid_g_multiplicative, lambda p, cap, tol: check_g_multiplicative(**p)),

@@ -560,6 +560,14 @@ class TestVerify:
         assert code == 2
         assert "fail=0" not in out.splitlines()[-1]
 
+    def test_exact_exp_weight_reads_no_tol(self, capsys):
+        # exp-weight sums its roots of unity exactly, so no tolerance applies to it
+        code, out, _ = run_main(capsys, "verify", "exp-weight", "--tol", "1e-30")
+        assert code == 0
+        lines = out.splitlines()
+        assert sum(line.endswith(" verified") for line in lines) == 332
+        assert lines[-1] == "summary pass=332 fail=0 findings=0"
+
     def test_broken_moebius_route_exits_two(self, capsys, broken_moebius_route):
         # the log-weight mismatches no longer equal the predicted defect
         code, out, _ = run_main(capsys, "verify", "log-weight", "--s-max", "3")
@@ -649,10 +657,10 @@ def test_exact_rows_of_default_report_are_pinned(capsys):
         for row in json.loads(out)["results"]
         if row["mode"] == "exact"
     ]
-    assert len(rows) == 3339
+    assert len(rows) == 3671
     text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "1fa6f777f65a04bcd1230a022e8b9392b0d81a451372599a6a853afb1b7b6958"
+        "23d30993c20d859677a621ee603ab3e502690659ce956e2963814127032b01af"
     )
 
 
@@ -664,11 +672,11 @@ def test_exact_csv_rows_of_default_report_are_pinned(capsys):
     header, *lines = csv.reader(io.StringIO(out))
     drop, mode = header.index("residual"), header.index("mode")
     rows = [line[:drop] + line[drop + 1 :] for line in lines if line[mode] == "exact"]
-    assert len(rows) == 3339
+    assert len(rows) == 3671
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
-        "8167f2de2530e36f6801a1a973c777646e49b4e518f2c754a415198feee68d8e"
+        "3eda53c1f1e430ba72c46b241c2dede33794127a0b84bae00012fa246a467cda"
     )
 
 
@@ -955,12 +963,15 @@ class TestSubprocessInvocation:
         assert out.stdout.splitlines()[-1] == f"0 False {loads}"
 
     def test_direct_route_loads_no_fft(self):
-        # the direct route sums in integers: numpy.fft stays unloaded
-        argv = ["eval", "csum", "--k", "1000", "--s", "2", "--j", "7", "--method", "direct"]
-        code = f"import sys, ramsum.cli\nrc = ramsum.cli.main({argv!r})\nprint(rc, 'numpy.fft' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["0", "0 False"]
+        # the direct route and exp-weight sum roots of unity in integers: numpy.fft stays unloaded
+        for argv, printed in [
+            (["eval", "csum", "--k", "1000", "--s", "2", "--j", "7", "--method", "direct"], "0"),
+            (["verify", "exp-weight"], "summary pass=332 fail=0 findings=0"),
+        ]:
+            code = f"import sys, ramsum.cli\nrc = ramsum.cli.main({argv!r})\nprint(rc, 'numpy.fft' in sys.modules)"
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.splitlines()[-2:] == [printed, "0 False"], argv
 
     def test_import_leaves_out_the_process_pool(self):
         # concurrent.futures is imported only by a run_suite with jobs > 1

@@ -385,15 +385,17 @@ class TestRootSum:
         # the units mod M sum to Ramanujan's c_M(1) = mu(M)
         for M in range(1, 301):
             units = np.array([math.gcd(r, M) == 1 for r in range(M)], dtype=np.int64)
-            assert csum._root_value(units, f"the units mod {M}") == moebius(factorize(M)), M
+            assert csum._root_value(units, 1, 1) == (moebius(factorize(M)), True), M
+            # folded mod M/g they sum to c_M(g)
+            for g in divisors(factorize(M)):
+                assert csum._root_value(units, g, 1) == (csum_moebius(M, g), True), (M, g)
 
     @pytest.mark.parametrize("M", [3, 4, 5, 6, 12, 30, 97, 900])
     def test_lone_root_is_refused(self, M):
         # e(1/M) is an integer only for M = 1 and 2
         root = np.zeros(M, dtype=np.int64)
         root[1] = 1
-        with pytest.raises(InternalConsistencyError, match=f"over one root mod {M} is not an integer"):
-            csum._root_value(root, f"one root mod {M}")
+        assert not csum._root_value(root, 1, 1)[1]
 
 
 class TestDirectMask:

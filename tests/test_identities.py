@@ -23,6 +23,7 @@ from hypothesis import given, strategies as st
 
 from ramsum import identities
 from ramsum.arith import euler_phi, factorize, jordan_totient, moebius_divisors, von_mangoldt
+from ramsum.cli import main
 from ramsum.csum import csum_moebius, csum_table
 from ramsum.errors import ResourceLimitError
 from ramsum.exactnum import bernoulli_number
@@ -58,7 +59,6 @@ from ramsum.identities import (
     resolve_identities,
     run_suite,
     weight_value,
-    _exp_spectrum,
     _cells,
     _json_row,
     _params_list,
@@ -359,6 +359,13 @@ class TestMomentPass:
         assert not check_binomial_weight(6, 1).passed
         for n in range(6):
             assert not check_exp_weight(6, 1, n).passed, n
+        # the flipped entry x^1 folds to a lone root at every class of (12, 2):
+        # each sum is no integer, or the integer off by one, and fails as a row
+        for n in range(26):
+            out = check_exp_weight(12, 2, n)
+            assert not out.passed and out.classification == "mismatch", n
+        # a one-entry period has no entry 1 to flip
+        assert main(["verify", "exp-weight", "--k-min", "2"]) == 2
 
 
 class TestBinomialWeight:
@@ -483,11 +490,13 @@ class TestExpWeight:
         out = check_exp_weight(k, s, n)
         assert out.passed
         assert out.rhs in (0, 1)
+        assert out.mode == "exact" and out.lhs == out.rhs
 
 
 class TestExpWeightSpectrum:
-    """The exp-weight left side, read from one inverse FFT per period, against
-    a term-by-term math.fsum of (1/K) sum_j c(j) e(jn/K)."""
+    """The exp-weight left side, summed exactly one gcd class at a time
+    (identities._exp_class, by csum._root_value), against a term-by-term
+    math.fsum of (1/K) sum_j c(j) e(jn/K)."""
 
     @staticmethod
     def fsum_oracle(k, s, n):
@@ -510,15 +519,19 @@ class TestExpWeightSpectrum:
             assert abs(out.lhs - self.fsum_oracle(k, s, n)) <= 1e-12, (k, s, n)
             assert out.passed, (k, s, n)
 
-    def test_one_read_only_spectrum_per_table(self):
-        check_exp_weight(12, 2, 5)
-        spec = _exp_spectrum(csum_table(12, 2))
-        assert spec.shape == (144,) and not spec.flags.writeable
-        with pytest.raises(ValueError):
-            spec[0] = 0
-        hits = _exp_spectrum.cache_info().hits
-        check_exp_weight(12, 2, 7)
-        assert _exp_spectrum.cache_info().hits == hits + 1
+    def test_one_kernel_run_per_gcd_class(self, monkeypatch):
+        runs = []
+
+        def counted(period, g, top):
+            runs.append(g)
+            return root_value(period, g, top)
+
+        root_value = identities._root_value
+        identities._exp_class.cache_clear()
+        monkeypatch.setattr(identities, "_root_value", counted)
+        for n in range(26):
+            assert check_exp_weight(12, 2, n).passed, n
+        assert sorted(runs) == sorted({math.gcd(n, 144) for n in range(26)})
 
 
 class TestMuLogLemma:
