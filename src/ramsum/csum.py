@@ -12,7 +12,7 @@ their agreement is an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -197,11 +197,13 @@ def csum_eval(k: int, j: int, s: int = 1, method: str = "moebius", cap: int = DE
 @dataclass(frozen=True, eq=False)
 class CsumTable:
     """One period of j -> c_k^(s)(j) for j in range(k^s), as a read-only
-    int64 array shared by every caller of csum_table."""
+    int64 array shared by every caller of csum_table, and exp-weight's
+    (v, certified) sum of that period per gcd class, kept as long as it."""
 
     k: int
     s: int
     array: np.ndarray
+    _classes: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def values(self) -> tuple:

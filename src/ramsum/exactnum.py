@@ -2,8 +2,9 @@
 
 Everything here is Fraction or int arithmetic; nothing rounds.  The Bernoulli
 sums add integers over one common denominator, read from one integer row
-C(n, i) B_i D, and build one Fraction at the end.  Closed forms that promise
-integers (power sums) check integrality before returning.
+C(n, i) B_i D, and build one Fraction at the end.  The rows are kept by n
+within one byte budget, the oldest built evicted first.  Closed forms that
+promise integers (power sums) check integrality before returning.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import threading
 from fractions import Fraction
 from math import comb, prod
 
-from . import store
 from .arith import factorize, primes_up_to
 from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
 
@@ -36,8 +36,14 @@ def binomial(n: int, k: int) -> int:
 
 
 _bern: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-_bern_lock = threading.Lock()
-_kept = store.kept  # the Bernoulli rows, by n
+_bern_lock = threading.Lock()  # taken to change _bern or the rows; a read of a row takes none
+_ROW_BUDGET = 1 << 23
+_rows: dict = {}  # the Bernoulli rows by n, oldest built first, read with one dict.get
+_rows_nbytes = 0  # their bytes, by _row_size, within _ROW_BUDGET
+
+
+def _row_size(row) -> int:
+    return sum(map(sys.getsizeof, row[0]))
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -135,9 +141,11 @@ def _bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
     product of the primes p <= n + 1 (p = 2 from B_1), each numerator is
     scaled by D // den(B_i), and the binomial steps over the even i as
     C(n, i) = C(n, i-2) (n-i+2) (n-i+1) / ((i-1) i); odd i > 1 hold 0.
-    Kept in ramsum.store.
+    Kept within _ROW_BUDGET, the oldest-built rows evicted to make room; a
+    row larger than the whole budget is returned but not kept.
     """
-    row = _kept.get(n)
+    global _rows_nbytes
+    row = _rows.get(n)
     if row is not None:
         return row
     bernoulli_number(n)
@@ -154,7 +162,13 @@ def _bernoulli_row(n: int) -> tuple[tuple[int, ...], int]:
         b = bs[i]
         a[i] = c * b.numerator * (D // b.denominator)
     row = tuple(a), D
-    store.keep(n, row, sum(map(sys.getsizeof, a)))
+    nbytes = _row_size(row)
+    with _bern_lock:
+        if nbytes <= _ROW_BUDGET and n not in _rows:
+            _rows[n] = row
+            _rows_nbytes += nbytes
+            while _rows_nbytes > _ROW_BUDGET:
+                _rows_nbytes -= _row_size(_rows.pop(next(iter(_rows))))
     return row
 
 

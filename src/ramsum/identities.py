@@ -19,13 +19,13 @@ import os
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations_with_replacement, product
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mul
 
 from .arith import divisors, euler_phi, factorize, jordan_totient, moebius_divisors, tau_sigma, von_mangoldt
-from .csum import CsumTable, _digit_budget, _moment_state, _period, _root_value, csum_moebius, csum_table, theta
+from .csum import _digit_budget, _moment_state, _period, _root_value, csum_moebius, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError
 from .exactnum import (
     _bernoulli_budget,
@@ -424,23 +424,21 @@ def check_multisection(n: int, r: int, tol: float | None = None) -> CheckResult:
     return _result("multisection", {"n": n, "r": r}, lhs, rhs, residual, "float", float_ok)
 
 
-@lru_cache(maxsize=64)
-def _exp_class(table: CsumTable, g: int) -> tuple[int, bool]:
-    """(v, certified) of sum_j c_k^(s)(j) e(jn/k^s) at the n with gcd(n, k^s) = g,
-    by _root_value with |entries| <= J_s(k) = table[0]; keyed by the table
-    object, so a table built anew is summed anew."""
-    return _root_value(table.array, g, int(table.array[0]))
-
-
 def check_exp_weight(k: int, s: int, n: int, cap: int = DEFAULT_SWEEP_CAP) -> CheckResult:
     """(1/k^s) sum_j e(jn/k^s) c_k^(s)(j) against the indicator theta_k^(s)(n),
     exactly: with g = gcd(n, k^s) and n = g u, the sum is the conjugate under
     zeta -> zeta^u of the table folded mod k^s/g at a primitive root zeta, and
-    an integer is its own conjugate.  A sum that is no integer fails the point."""
+    an integer is its own conjugate.  A sum that is no integer fails the point.
+    Each class is summed once per table, by _root_value with |entries| <=
+    J_s(k) = table[0], and kept on it, so a table built anew is summed anew."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     K = _period(k, s, cap, "the exponential-weight sum")
-    v, certified = _exp_class(csum_table(k, s, cap), math.gcd(n, K))
+    table, g = csum_table(k, s, cap), math.gcd(n, K)
+    hit = table._classes.get(g)
+    if hit is None:
+        hit = table._classes[g] = _root_value(table.array, g, int(table.array[0]))
+    v, certified = hit
     return _exact("exp-weight", {"k": k, "n": n, "s": s}, Fraction(v, K), theta(k, n, s), certified)
 
 
@@ -487,12 +485,8 @@ def check_multivariate(ks, s: int, r: int, cap: int = DEFAULT_SWEEP_CAP) -> Chec
     lhs = _power_weight_lhs([csum_table(ki, s, cap) for ki in ks], K, r)
     prod_j = math.prod(jordan_totient(s, factorize(ki)) for ki in ks)
     rhs = Fraction(prod_j, 2 * K) + bernoulli_tail(r, lambda m: g_divisor_sum(ks, s, m), K)
-    passed = lhs == rhs
-    residual = 0.0 if passed else abs(float(lhs - rhs))
-    if r == 1:
-        corollary = Fraction(prod_j, 2 * K) + g_divisor_sum(ks, s, 0) / 2
-        passed = passed and corollary == rhs
-    return _result("multivariate", {"ks": ks, "r": r, "s": s}, lhs, rhs, residual, "exact", passed)
+    corollary = r != 1 or Fraction(prod_j, 2 * K) + g_divisor_sum(ks, s, 0) / 2 == rhs
+    return _exact("multivariate", {"ks": ks, "r": r, "s": s}, lhs, rhs, corollary)
 
 
 def check_g_multiplicative(ks, ks2, s: int, m: int) -> CheckResult:

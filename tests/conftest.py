@@ -20,18 +20,21 @@ hypothesis.settings.load_profile("suite")
 
 @pytest.fixture
 def cleared(monkeypatch):
-    """Empty ramsum.store and the direct route's mask window and class memo
-    before the test, after it and at each call of the returned function; a
-    call given a byte count also sets the store's budget to it for the rest
-    of the test."""
-    from ramsum import csum, store
+    """Empty exactnum's Bernoulli rows, csum's period tables (and with them
+    exp-weight's class sums) and moment states, and the direct route's mask
+    window and class memo before the test, after it and at each call of the
+    returned function; a call given a byte count also sets the row budget to
+    it for the rest of the test."""
+    from ramsum import csum, exactnum
 
     def clear(budget=None):
-        store.clear()
-        csum._mask.cache_clear()
-        csum._root_class.cache_clear()
+        with exactnum._bern_lock:
+            exactnum._rows.clear()
+            exactnum._rows_nbytes = 0
+        for cache in (csum._table, csum._moment_state, csum._mask, csum._root_class):
+            cache.cache_clear()
         if budget is not None:
-            monkeypatch.setattr(store, "BUDGET", budget)
+            monkeypatch.setattr(exactnum, "_ROW_BUDGET", budget)
 
     clear()
     yield clear

@@ -7,12 +7,13 @@ the Fraction-per-term formulas the integer Bernoulli row replaced.
 
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsum import exactnum, store
+from ramsum import exactnum
 from ramsum.exactnum import (
     bernoulli_number,
     bernoulli_poly,
@@ -178,6 +179,19 @@ def reference_tail(r, a, x=1):
     return sum(terms, Fraction(0)) / (r + 1)
 
 
+ROWS = exactnum._rows
+
+
+def row_size(row):
+    return sum(map(sys.getsizeof, row[0]))
+
+
+def assert_exact_total():
+    """The running total is the sum of the sizes of the kept rows, and stays
+    within the budget."""
+    assert exactnum._rows_nbytes == sum(map(row_size, ROWS.values())) <= exactnum._ROW_BUDGET
+
+
 class TestBernoulliRow:
     def test_matches_the_fraction_products(self):
         for n in range(81):
@@ -189,17 +203,74 @@ class TestBernoulliRow:
     def test_kept_rows_stay_under_the_byte_budget(self, cleared):
         # a budget of about three rows near n = 60: building rows 40..80
         # keeps only the newest, their bytes within the budget, and a row
-        # past the budget on its own is kept alone in the oversize slot
-        cleared(3 * sum(map(sys.getsizeof, exactnum._bernoulli_row(60)[0])))
+        # past the budget is returned but not kept
+        cleared(3 * row_size(exactnum._bernoulli_row(60)))
         for n in range(40, 81):
             assert exactnum._bernoulli_row(n) == exactnum._bernoulli_row(n)
-        kept = store.kept
+        kept, nbytes = list(ROWS), exactnum._rows_nbytes
         assert 80 in kept and 40 not in kept and len(kept) < 10
-        nbytes = sum(sum(map(sys.getsizeof, a)) for a, _ in kept.values())
-        assert store._nbytes == nbytes <= store.BUDGET
-        exactnum._bernoulli_row(400)
-        assert store._oversize == 400 and 400 not in store._built
-        assert 80 in kept and store._nbytes == nbytes
+        assert_exact_total()
+        assert exactnum._bernoulli_row(400) == exactnum._bernoulli_row(400)
+        assert list(ROWS) == kept and exactnum._rows_nbytes == nbytes
+
+
+class TestRowBudget:
+    """One byte budget over the kept Bernoulli rows, the oldest-built row
+    evicted first; row n holds n + 1 ints, so row 10 takes 308 bytes, row 20
+    624 and row 30 940."""
+
+    def test_total_is_exact_after_every_keep(self, cleared):
+        budget = 3 * 308
+        cleared(budget)
+        order, sizes = [], {}  # the rows that must be kept, oldest built first, and their sizes
+        ns = (10, 8, 12, 10, 4, 14, 6, 16, 2, 10, 8)
+        for n in ns:
+            row = exactnum._bernoulli_row(n)
+            if n in order:  # still kept: read, not built again
+                assert ROWS[n] is row
+            else:
+                order.append(n)
+                sizes[n] = row_size(row)
+            while sum(map(sizes.get, order)) > budget:
+                order.pop(0)
+            assert list(ROWS) == order
+            assert_exact_total()
+        assert len(order) < len(set(ns))
+
+    def test_a_row_past_the_budget_is_not_kept(self, cleared):
+        cleared(2 * 308)
+        exactnum._bernoulli_row(10)
+        row = exactnum._bernoulli_row(20)  # past the budget: returned, not kept
+        assert list(ROWS) == [10] and exactnum._rows_nbytes == 308
+        again = exactnum._bernoulli_row(20)
+        assert again == row and again is not row
+        exactnum._bernoulli_row(8)  # a row within the budget is still kept
+        assert list(ROWS) == [10, 8]
+        assert_exact_total()
+
+    def test_building_from_four_threads_leaves_the_total_exact(self, cleared):
+        cleared(2000)
+        barrier = threading.Barrier(4)
+
+        def build(t):
+            barrier.wait()
+            for i in range(3000):
+                # the threads build the same rows, so they race to keep each
+                # one, and the budget holds only a few of the 24 rows, never fewer than 2
+                exactnum._bernoulli_row((i + t) % 24)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        threads = [threading.Thread(target=build, args=(t,)) for t in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert_exact_total()
+        assert len(ROWS) > 1
 
 
 class TestBernoulliTail:

@@ -6,6 +6,7 @@ so the checkers are exercised against numbers they did not produce.
 """
 
 import csv
+import gc
 import io
 import json
 import math
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ramsum import identities
+from ramsum import csum, identities
 from ramsum.arith import euler_phi, factorize, jordan_totient, moebius_divisors, von_mangoldt
 from ramsum.cli import main
 from ramsum.csum import csum_moebius, csum_table
@@ -494,8 +495,8 @@ class TestExpWeight:
 
 
 class TestExpWeightSpectrum:
-    """The exp-weight left side, summed exactly one gcd class at a time
-    (identities._exp_class, by csum._root_value), against a term-by-term
+    """The exp-weight left side, summed exactly one gcd class at a time (by
+    csum._root_value, kept on the period table), against a term-by-term
     math.fsum of (1/K) sum_j c(j) e(jn/K)."""
 
     @staticmethod
@@ -527,11 +528,19 @@ class TestExpWeightSpectrum:
             return root_value(period, g, top)
 
         root_value = identities._root_value
-        identities._exp_class.cache_clear()
+        csum._table.cache_clear()
         monkeypatch.setattr(identities, "_root_value", counted)
         for n in range(26):
             assert check_exp_weight(12, 2, n).passed, n
         assert sorted(runs) == sorted({math.gcd(n, 144) for n in range(26)})
+
+    def test_class_sums_keep_no_table_alive(self, cleared):
+        # 39 periods, two gcd classes each at n <= 1: more tables than _table keeps
+        report = run_suite(SuiteConfig(identities=("exp-weight",), k_min=2, k_max=40, s=2, n_max=1))
+        assert report.passed == 78 and report.failed == 0
+        gc.collect()
+        live = [t for t in gc.get_objects() if isinstance(t, csum.CsumTable)]
+        assert len(live) <= csum._table.cache_info().maxsize
 
 
 class TestMuLogLemma:
