@@ -33,7 +33,6 @@ from .exactnum import (
     binomial,
     coprime_power_sum,
     power_sum,
-    rat_str,
 )
 from .identities import (
     ALL_IDENTITIES,

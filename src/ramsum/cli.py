@@ -16,7 +16,7 @@ import sys
 from .arith import factorize, gen_gcd, jordan_totient
 from .csum import DEFAULT_CAP, _digit_budget, csum_eval, csum_table, theta
 from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
-from .exactnum import _bernoulli_budget, bernoulli_number, rat_str
+from .exactnum import _bernoulli_budget, bernoulli_number
 from .identities import (
     ALL_IDENTITIES,
     DEFAULT_K_MAX,
@@ -166,9 +166,9 @@ def _cmd_eval(args) -> int:
     else:
         value = theta(args.k, args.n, args.s)
     try:
-        text = rat_str(value)
+        text = str(value)
     except ValueError:
-        # only the int-to-str digit limit makes rat_str raise, so one is set
+        # only the int-to-str digit limit makes str of an int or a Fraction raise, so one is set
         _refuse_past_digit_limit(f"the {args.what} value passes")
         raise
     print(text)

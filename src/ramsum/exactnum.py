@@ -19,17 +19,6 @@ from .arith import factorize, primes_up_to
 from .errors import InternalConsistencyError, ResourceLimitError, _refuse_past_digit_limit
 
 
-def rat_str(q) -> str:
-    """Canonical string for a rational: "p/q" in lowest terms, "p" for integers."""
-    if type(q) is int:
-        return int.__repr__(q)
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
-    if q.denominator == 1:
-        return int.__repr__(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def binomial(n: int, k: int) -> int:
     """C(n, k) for nonnegative arguments, 0 when k > n.  Exact at any size."""
     return comb(n, k)

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, product
@@ -36,7 +36,6 @@ from .exactnum import (
     binomial,
     coprime_power_sum,
     power_sum,
-    rat_str,
 )
 from .logspace import TWO_PI, LogLinear, float_value, legendre_exponents, mu_log_lemma_sides
 
@@ -126,9 +125,13 @@ class CheckResult:
 def _exact(identity: str, params: dict, lhs, rhs, certified: bool = True) -> CheckResult:
     """The result of an exact check whose sides are ints or Fractions, which
     passes when they are equal and lhs is certified; the residual is only
-    computed when they differ."""
+    computed when they differ, inf when too large for a float."""
     passed = certified and lhs == rhs
-    return _result(identity, params, lhs, rhs, 0.0 if passed else abs(float(lhs - rhs)), "exact", passed)
+    try:
+        residual = 0.0 if passed else abs(float(lhs - rhs))
+    except OverflowError:
+        residual = math.inf
+    return _result(identity, params, lhs, rhs, residual, "exact", passed)
 
 
 def _result(
@@ -834,39 +837,32 @@ def run_suite(cfg: SuiteConfig) -> IdentityReport:
 _COLUMNS = ("identity", "params", "lhs", "rhs", "residual", "mode", "pass", "classification")
 _HUMAN = (0, 1, 2, 3, 4, 7)  # the human table leaves out mode and pass
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-# type -> text of a result value, one text in every report format; a type
-# not listed writes float.__repr__ if it is a float (numpy's float64, whose
-# repr would wrap its digits) and str otherwise (LogLinear, complex)
-_TEXT = {int: rat_str, Fraction: rat_str, float: float.__repr__}
-
-
-def _text(v) -> str:
-    write = _TEXT.get(type(v))
-    if write is not None:
-        return write(v)
-    return float.__repr__(v) if isinstance(v, float) else str(v)
+_PARAM_JSON = {int: int.__repr__, str: encode_basestring_ascii}
 
 
 def _json_value(v) -> str:
-    """v's text as json.dumps writes it: a float bare, any other text quoted."""
+    """str(v) as json.dumps writes it: a float bare, any other text quoted."""
+    text = str(v)
     if isinstance(v, float):
-        text = float.__repr__(v)
         return _JSON_FLOATS.get(text, text)
-    return encode_basestring_ascii(_text(v))
+    return encode_basestring_ascii(text)
+
+
+def _param_texts(params: dict, pad: str | None = None) -> list:
+    """(key, value) texts of params as json.dumps writes them, keys sorted;
+    a list is laid out by _params_list with pad."""
+    return [
+        (encode_basestring_ascii(key), write(v) if (write := _PARAM_JSON.get(type(v))) else _params_list(v, pad))
+        for key, v in sorted(params.items())
+    ]
 
 
 def _cells(r: CheckResult) -> list:
     """The texts of one result's columns, in _COLUMNS order; params as
     json.dumps(params, sort_keys=True, separators=(",", ":")) writes them."""
-    _, order, compact = _formats(r.params)
-    values = [
-        write(v) if (write := _PARAM_JSON.get(type(v))) else _params_list(v) for v in map(r.params.__getitem__, order)
-    ]
-    params = compact.format(*values)
+    params = "{" + ",".join(f"{key}:{v}" for key, v in _param_texts(r.params)) + "}"
     passed = "true" if r.passed else "false"
-    return [r.identity, params, _text(r.lhs), _text(r.rhs), _text(r.residual), r.mode, passed, r.classification]
+    return [r.identity, params, str(r.lhs), str(r.rhs), str(r.residual), r.mode, passed, r.classification]
 
 
 def _params_list(v, pad: str | None = None) -> str:
@@ -886,62 +882,31 @@ def _params_list(v, pad: str | None = None) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
-# one JSON result row, its keys in sorted order, as json.dumps(indent=2) lays
-# it out; %s is the params object, a format of its own values
-_JSON_ROW = """    {{
-      "classification": {},
-      "identity": {},
-      "lhs": {},
-      "mode": {},
-      "params": %s,
-      "pass": {},
-      "residual": {},
-      "rhs": {}
-    }}"""
-_PARAM_JSON = {int: int.__repr__, str: encode_basestring_ascii}
-# params keys in insertion order -> (the JSON row format of that shape, the
-# keys sorted, the compact params format of the csv and human cells)
-_ROW_FORMATS: dict = {}
-
-
-def _formats(params: dict) -> tuple:
-    keys = tuple(params)
-    found = _ROW_FORMATS.get(keys)
-    if found is None:
-        order = tuple(sorted(keys))
-        names = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") for key in order]
-        rows = "{{\n" + ",\n".join(f"        {name}: {{}}" for name in names) + "\n      }}" if order else "{{}}"
-        compact = "{{" + ",".join(f"{name}:{{}}" for name in names) + "}}"
-        found = _ROW_FORMATS[keys] = (_JSON_ROW % rows, order, compact)
-    return found
-
-
 def _json_row(r: CheckResult) -> str:
-    params = r.params
-    fmt, order, _ = _formats(params)
-    # ints and strings fill the format directly; only the lists (ks, ks2) are laid out
-    values = [
-        write(v) if (write := _PARAM_JSON.get(type(v))) else _params_list(v, "        ")
-        for v in map(params.__getitem__, order)
-    ]
-    return fmt.format(
-        encode_basestring_ascii(r.classification),
-        encode_basestring_ascii(r.identity),
-        _json_value(r.lhs),
-        encode_basestring_ascii(r.mode),
-        *values,
-        "true" if r.passed else "false",
-        _json_value(r.residual),
-        _json_value(r.rhs),
-    )
+    """One result row, its keys sorted, as json.dumps(indent=2) lays it out
+    in the results list."""
+    params = ",\n".join(f"        {key}: {v}" for key, v in _param_texts(r.params, "        "))
+    params = "{\n" + params + "\n      }" if params else "{}"
+    return f"""    {{
+      "classification": {encode_basestring_ascii(r.classification)},
+      "identity": {encode_basestring_ascii(r.identity)},
+      "lhs": {_json_value(r.lhs)},
+      "mode": {encode_basestring_ascii(r.mode)},
+      "params": {params},
+      "pass": {'true' if r.passed else 'false'},
+      "residual": {_json_value(r.residual)},
+      "rhs": {_json_value(r.rhs)}
+    }}"""
 
 
 def render_report(report: IdentityReport, fmt: str = "human") -> str:
-    """Serialize a report; bytes depend only on the config and the results."""
+    """Serialize a report, each result value as its str in every format;
+    bytes depend only on the config and the results."""
     summary = {"pass": report.passed, "fail": report.failed, "findings": report.findings}
     if fmt == "json":
-        # the bytes of json.dumps(doc, sort_keys=True, indent=2) over rows of
-        # the same texts: "results" sorts before "suite" and "summary"
+        # the bytes of json.dumps(doc, sort_keys=True, indent=2) over rows that
+        # hold each float and the str of any other value, one f-string a row:
+        # "results" sorts before "suite" and "summary"
         rows = ",\n".join(map(_json_row, report.results))
         results = f'"results": [\n{rows}\n  ]' if rows else '"results": []'
         tail = json.dumps({"suite": report.suite, "summary": summary}, sort_keys=True, indent=2)

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .arith import factorize, jordan_totient, moebius_divisors, primes_up_to
 from .csum import _digit_budget
-from .exactnum import rat_str
 
 TWO_PI = "2pi"
 
@@ -84,12 +83,7 @@ class LogLinear:
 
     def __str__(self) -> str:
         """Canonical text form: terms ordered by prime, log(2pi) last."""
-        if not self._c:
-            return "0"
-        parts = []
-        for sym in sorted(self._c, key=_sort_key):
-            parts.append(f"{rat_str(self._c[sym])}*log({sym})")
-        return " + ".join(parts)
+        return " + ".join(f"{self._c[sym]}*log({sym})" for sym in sorted(self._c, key=_sort_key)) or "0"
 
     def __repr__(self) -> str:
         return f"LogLinear({self})"

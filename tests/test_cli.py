@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -499,6 +500,23 @@ class TestInternalError:
             "ramsum: internal error: the sum of roots of unity over the s-coprime residues of k=30, s=2"
             " in gcd class 1 is not an integer\n"
         )
+
+
+def test_mismatch_past_a_float_is_a_row(capsys, monkeypatch):
+    # J_s(12) one too large moves gcd-weight's rhs at k = 12 by the weight sum,
+    # about 12^(200 s): past the largest float at s = 2, whose residual is inf
+    real = identities.jordan_totient
+    monkeypatch.setattr(identities, "jordan_totient", lambda s, fac: real(s, fac) + (fac.value == 12))
+    argv = ("verify", "gcd-weight", "--k-max", "12", "--weights", "power:200", "--format", "json")
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2 and err == ""
+    rows = [row for row in json.loads(out)["results"] if not row["pass"]]
+    assert [(row["params"]["k"], row["params"]["s"], row["classification"]) for row in rows] == [
+        (12, 1, "mismatch"),
+        (12, 2, "mismatch"),
+    ]
+    assert 1e215 < rows[0]["residual"] < rows[1]["residual"] == math.inf
+    assert '"residual": Infinity' in out
 
 
 class TestTable:

@@ -21,7 +21,6 @@ from ramsum.exactnum import (
     binomial,
     coprime_power_sum,
     power_sum,
-    rat_str,
 )
 
 
@@ -295,28 +294,3 @@ class TestBernoulliTail:
             assert bernoulli_tail(r, ints, x) == reference_tail(r, ints, x), r
             fracs = lambda m: Fraction(5 - 2 * m, 3 + m)
             assert bernoulli_tail(r, fracs, x) == reference_tail(r, fracs, x), r
-
-
-class TestRatStr:
-    def test_integers_render_bare(self):
-        assert rat_str(Fraction(4, 2)) == "2"
-        assert rat_str(Fraction(-3)) == "-3"
-
-    def test_fractions_render_with_slash(self):
-        assert rat_str(Fraction(17, 32)) == "17/32"
-        assert rat_str(Fraction(-1, 6)) == "-1/6"
-
-    def test_ints_and_other_rationals(self):
-        assert rat_str(-12) == "-12"
-        assert rat_str(True) == "1"
-        assert rat_str(0.5) == "1/2"
-
-    def test_digit_limit_still_raises(self):
-        default = sys.get_int_max_str_digits()
-        try:
-            sys.set_int_max_str_digits(640)
-            for q in (10**700, Fraction(10**700, 3), Fraction(3, 10**700)):
-                with pytest.raises(ValueError, match="Exceeds the limit"):
-                    rat_str(q)
-        finally:
-            sys.set_int_max_str_digits(default)

@@ -832,7 +832,7 @@ class TestSuiteRunner:
 
 
 class TestJsonTemplate:
-    """render_report(fmt="json") writes its rows from one template; json.dumps
+    """render_report(fmt="json") writes each row as one f-string; json.dumps
     of a document built here, sharing no code with the renderer, is the
     oracle for its bytes."""
 
@@ -907,11 +907,10 @@ class TestJsonTemplate:
                 with pytest.raises(TypeError):
                     render_report(report, fmt)
 
-    def test_row_of_every_params_shape(self, monkeypatch):
+    def test_row_of_every_params_shape(self):
         # one point of each registry identity, then params the registry never
         # builds: empty, an empty list, keys that need escaping in a format,
         # and a string in a list
-        monkeypatch.setattr(identities, "_ROW_FORMATS", {})
         results = [_run_point(build_grid(SuiteConfig(identities=(identity,)))[0]) for identity in ALL_IDENTITIES]
         results += [
             CheckResult("gauss-product", {}, 1.5, 1.5, 0.0, "float", True, "numerical-pass"),
@@ -923,9 +922,8 @@ class TestJsonTemplate:
         for r in results + results:
             layout = json.dumps(self.row(r), sort_keys=True, indent=2)
             assert _json_row(r) == "\n".join("    " + line for line in layout.splitlines())
-            # the csv and human params cell reads the same cached shape
+            # the csv and human params cell, compact
             assert _cells(r)[1] == json.dumps(r.params, sort_keys=True, separators=(",", ":"))
-        assert set(identities._ROW_FORMATS) == shapes
 
     def test_empty_result_list(self):
         report = IdentityReport(dict(self.SUITE), [], 0, 0, 0)
@@ -937,13 +935,6 @@ class TestJsonTemplate:
 
     def test_default_grid(self, default_report):
         assert render_report(default_report, "json") == self.oracle(default_report)
-
-    def test_one_row_format_per_params_shape(self, default_report, monkeypatch):
-        monkeypatch.setattr(identities, "_ROW_FORMATS", {})
-        render_report(default_report, "json")
-        render_report(default_report, "json")
-        shapes = {tuple(r.params) for r in default_report.results}
-        assert len(shapes) == 11 and set(identities._ROW_FORMATS) == shapes
 
     def test_csv_cells_match_json_values(self, default_report):
         header, *cells = csv.reader(io.StringIO(render_report(default_report, "csv")))
